@@ -50,11 +50,13 @@ def _run_dir(args, subcommand: str, config: dict) -> tuple[Path, str]:
 
 
 def _write_manifest(run_dir: Path, subcommand: str, config: dict, digest: str,
-                    outputs: list[str], t_start: float) -> None:
+                    outputs: list[str], t_start: float, workers: int = 1) -> None:
+    # the worker count stays out of config and digest: it never changes the data
     manifest = {
         "subcommand": subcommand,
         "config": config,
         "config_digest": digest,
+        "workers": workers,
         "version": __version__,
         "master_seed": config.get("seed"),
         "outputs": outputs,
@@ -70,6 +72,12 @@ def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _csv_floats(*values) -> str:
+    """One CSV line of floats; float() first, since numpy >= 2 scalars
+    repr() as ``np.float64(x)``."""
+    return ",".join(repr(float(v)) for v in values) + "\n"
 
 
 def _merged(args, keys: dict) -> dict:
@@ -126,7 +134,7 @@ def _cmd_trace(args) -> int:
     with open(run_dir / "trace.csv", "w", newline="") as fh:
         fh.write("t,re_gamma,im_gamma\n")
         for t, g in zip(times, gamma):
-            fh.write(f"{t!r},{g.real!r},{g.imag!r}\n")
+            fh.write(_csv_floats(t, g.real, g.imag))
     _write_manifest(run_dir, "trace", cfg, digest, ["trace.csv"], t0)
     print(run_dir)
     return 0
@@ -149,7 +157,7 @@ def _cmd_radial(args) -> int:
     with open(run_dir / "radial.csv", "w", newline="") as fh:
         fh.write("t,re_g,im_g\n")
         for t, g in zip(times, evo.states):
-            fh.write(f"{t!r},{g.real!r},{g.imag!r}\n")
+            fh.write(_csv_floats(t, g.real, g.imag))
     _write_json(run_dir / "radial.json", {
         "status": evo.status,
         "halted_step": evo.halted_step,
@@ -243,7 +251,7 @@ def _cmd_martingale(args) -> int:
                          "samples": 50000, "seed": 0, "y": 1.0,
                          "exponent-a": -3.0, "exponent-b": 3.0,
                          "eps-stop": 1e-3, "workers": None})
-    workers = cfg["workers"] or os.cpu_count() or 1
+    workers = int(cfg["workers"] or os.cpu_count() or 1)
     cfg["workers"] = None  # worker count must not enter the digest
     t0 = time.time()
     run_dir, digest = _run_dir(args, "martingale-test", cfg)
@@ -254,11 +262,11 @@ def _cmd_martingale(args) -> int:
                   n_steps=int(cfg["steps"]), n_samples=int(cfg["samples"]),
                   master_seed=int(cfg["seed"]), observable=obs,
                   eps_stop=float(cfg["eps-stop"]))
-    report = run_martingale_test(mc, workers=int(workers))
-    report.to_csv(run_dir / "report.csv")
+    report = run_martingale_test(mc, workers=workers)
+    (run_dir / "report.csv").write_bytes(report.csv_bytes())
     _write_json(run_dir / "report.json", report.to_json())
     _write_manifest(run_dir, "martingale-test", cfg, digest,
-                    ["report.csv", "report.json"], t0)
+                    ["report.csv", "report.json"], t0, workers)
     for row in report.rows:
         print(f"t={row.t:.6g} mean={row.mean:.8g} z={row.z:+.3f} "
               f"alive={row.n_alive} stopped={row.n_stopped}")
@@ -269,18 +277,18 @@ def _cmd_martingale(args) -> int:
 def _cmd_inverse_check(args) -> int:
     cfg = _merged(args, {"kappa": 4.0, "horizon": 1.0, "steps": 500,
                          "samples": 100, "seed": 0, "workers": None})
-    workers = cfg["workers"] or os.cpu_count() or 1
+    workers = int(cfg["workers"] or os.cpu_count() or 1)
     cfg["workers"] = None
     t0 = time.time()
     run_dir, digest = _run_dir(args, "inverse-check", cfg)
     report = run_inverse_consistency(float(cfg["kappa"]), float(cfg["horizon"]),
                                      int(cfg["steps"]), int(cfg["samples"]),
                                      master_seed=int(cfg["seed"]),
-                                     workers=int(workers))
-    report.to_csv(run_dir / "samples.csv")
+                                     workers=workers)
+    (run_dir / "samples.csv").write_bytes(report.csv_bytes())
     _write_json(run_dir / "report.json", report.to_json())
     _write_manifest(run_dir, "inverse-check", cfg, digest,
-                    ["samples.csv", "report.json"], t0)
+                    ["samples.csv", "report.json"], t0, workers)
     print(f"max_error={report.max_error:.6g} mean_error={report.mean_error:.6g} "
           f"bound={report.bound:.6g} -> {'pass' if report.passed else 'FAIL'}")
     return 0 if report.passed else 1
@@ -290,16 +298,16 @@ def _cmd_composed(args) -> int:
     cfg = _merged(args, {"kappa": 4.0, "horizon": 0.25, "steps": 250,
                          "samples": 200, "seed": 0, "shared-driving": False,
                          "workers": None})
-    workers = cfg["workers"] or os.cpu_count() or 1
+    workers = int(cfg["workers"] or os.cpu_count() or 1)
     cfg["workers"] = None
     t0 = time.time()
     run_dir, digest = _run_dir(args, "composed", cfg)
     report = run_composed_stats(float(cfg["kappa"]), float(cfg["horizon"]),
                                 int(cfg["steps"]), int(cfg["samples"]),
                                 shared_driving=bool(cfg["shared-driving"]),
-                                master_seed=int(cfg["seed"]), workers=int(workers))
+                                master_seed=int(cfg["seed"]), workers=workers)
     _write_json(run_dir / "report.json", report.to_json())
-    _write_manifest(run_dir, "composed", cfg, digest, ["report.json"], t0)
+    _write_manifest(run_dir, "composed", cfg, digest, ["report.json"], t0, workers)
     print(f"survival={report.survival_fraction:.4f} "
           f"violations={report.containment_violations}")
     return 0 if report.containment_violations == 0 else 1

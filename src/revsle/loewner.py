@@ -8,10 +8,18 @@ integrates in closed form over one step of length dt:
     forward   w -> xi + sqrt((w - xi)^2 + 4 dt)
     backward  w -> xi + sqrt((w - xi)^2 - 4 dt)
 
+A forward step is inverted by a backward step with the same xi and vice
+versa, so there is one step kernel, ``w -> xi + sqrt((w - xi)^2 + c)`` with
+c = +-4 dt.  Maps, derivatives, inverses and the zipper :func:`trace` are
+loops over it.  Points may be a single complex number (a complex comes back)
+or an array of any shape, whose points are evaluated together.  Only the
+c = +4 dt step can hit the driving singularity; :func:`swallowed` is the
+test for it.
+
 The square root branch is fixed by two conditions: the image has
 non-negative imaginary part, and the map is asymptotic to the identity at
 infinity (the real part of the root carries the sign of Re(w - xi)).  It is
-implemented with explicit real/imaginary formulas in :func:`slit_sqrt`
+implemented with explicit real/imaginary formulas in :func:`slit_sqrt_vec`
 rather than a library principal branch, so there is no cut crossing next to
 the slit.
 
@@ -27,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -37,9 +45,8 @@ __all__ = [
     "SwallowedPointError",
     "BranchViolationError",
     "TanPoleError",
-    "slit_sqrt",
     "slit_sqrt_vec",
-    "ElementaryMap",
+    "swallowed",
     "LoewnerEvolution",
     "evolve_forward",
     "evolve_backward",
@@ -91,29 +98,14 @@ class TanPoleError(Exception):
         super().__init__(f"driving value {value} at index {index} is at a tan pole")
 
 
-def slit_sqrt(u: complex, re_hint: float) -> complex:
-    """Square root of u with Im >= 0; for real u >= 0 the sign of the real
-    part follows ``re_hint`` (the sign of Re(w - xi), identity at infinity).
+def slit_sqrt_vec(u: np.ndarray, re_hint: np.ndarray) -> np.ndarray:
+    """Elementwise square root of u with Im >= 0 (complex128 arrays); for
+    real u >= 0 the sign of the real part follows ``re_hint`` (the sign of
+    Re(w - xi), identity at infinity).
 
     When Im(u) != 0 there is exactly one root with positive imaginary part,
     so the hint only breaks the tie on the real axis.
     """
-    a = u.real
-    b = u.imag
-    m = math.hypot(a, b)
-    re = math.sqrt(max(m + a, 0.0) * 0.5)
-    im = math.sqrt(max(m - a, 0.0) * 0.5)
-    if b > 0.0:
-        return complex(re, im)
-    if b < 0.0:
-        return complex(-re, im)
-    if a >= 0.0:
-        return complex(re if re_hint >= 0.0 else -re, 0.0)
-    return complex(0.0, im)
-
-
-def slit_sqrt_vec(u: np.ndarray, re_hint: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`slit_sqrt` (complex128 arrays)."""
     a = u.real
     b = u.imag
     m = np.hypot(a, b)
@@ -125,66 +117,26 @@ def slit_sqrt_vec(u: np.ndarray, re_hint: np.ndarray) -> np.ndarray:
     return sign * re + 1j * im
 
 
-def _forward_swallowed(v: complex, four_dt: float) -> bool:
-    # v = w - xi.  The one-step forward orbit hits the singularity iff v is
-    # purely imaginary with |v|^2 <= 4dt (the point sits on the closed slit);
-    # the tip itself has discriminant v^2 + 4dt = 0.
-    if abs(v) <= EPS_SWALLOW:
-        return True
-    if abs(v.real) <= EPS_SWALLOW and v.imag * v.imag <= four_dt:
-        return True
-    return abs(v * v + four_dt) <= EPS_SWALLOW
+def swallowed(v: np.ndarray, four_dt: float) -> np.ndarray:
+    """Mask of the offsets v = w - xi whose forward (+4dt) step hits the
+    driving singularity: v is purely imaginary with |v|^2 <= 4dt (the point
+    sits on the closed slit); the tip itself has discriminant v^2 + 4dt = 0."""
+    return ((np.abs(v) <= EPS_SWALLOW)
+            | ((np.abs(v.real) <= EPS_SWALLOW) & (v.imag ** 2 <= four_dt))
+            | (np.abs(v * v + four_dt) <= EPS_SWALLOW))
 
 
-@dataclass(frozen=True)
-class ElementaryMap:
-    """Exact one-step slit map with the driving held at ``xi``."""
-
-    xi: float
-    dt: float
-    direction: str  # "forward" | "backward"
-
-    def __post_init__(self):
-        if self.direction not in ("forward", "backward"):
-            raise ValueError(f"unknown direction {self.direction!r}")
-        if not self.dt > 0.0:
-            raise ValueError("dt must be positive")
-
-    def _disc(self, w: complex) -> tuple[complex, complex]:
-        v = w - self.xi
-        four_dt = 4.0 * self.dt
-        if self.direction == "forward":
-            if _forward_swallowed(v, four_dt):
-                raise SwallowedPointError(0, w)
-            return v, v * v + four_dt
-        return v, v * v - four_dt
-
-    def apply(self, w: complex) -> complex:
-        v, u = self._disc(w)
-        return self.xi + slit_sqrt(u, v.real)
-
-    def derivative(self, w: complex) -> complex:
-        v, u = self._disc(w)
-        s = slit_sqrt(u, v.real)
-        if s == 0.0:
-            raise BranchViolationError(0, w)
-        return v / s
-
-    def invert(self, w: complex) -> complex:
-        v = w - self.xi
-        four_dt = 4.0 * self.dt
-        if self.direction == "forward":
-            u = v * v - four_dt
-        else:
-            if _forward_swallowed(v, four_dt):
-                raise BranchViolationError(0, w)
-            u = v * v + four_dt
-        return self.xi + slit_sqrt(u, v.real)
+def _slit_step(w: np.ndarray, x: float, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """One exact chordal step w -> x + s, s = sqrt((w - x)^2 + c), with
+    c = +4dt (forward) or -4dt (backward); returns the image and s."""
+    v = w - x
+    s = slit_sqrt_vec(v * v + c, v.real)
+    return x + s, s
 
 
 @dataclass(frozen=True, eq=False)
 class LoewnerEvolution:
-    """Composition of elementary slit maps, one per grid step.
+    """Composition of exact slit maps, one per grid step.
 
     ``driving_values`` are the n+1 grid values of the driving; step k holds
     the value at its left endpoint.  An empty chain is the identity.
@@ -204,14 +156,10 @@ class LoewnerEvolution:
         vals = np.asarray(self.driving_values, dtype=np.float64)
         vals.setflags(write=False)
         object.__setattr__(self, "driving_values", vals)
-        object.__setattr__(self, "_xi", tuple(float(x) for x in vals[:-1]))
 
     @property
     def n_steps(self) -> int:
         return len(self.driving_values) - 1
-
-    def steps(self) -> tuple[ElementaryMap, ...]:
-        return tuple(ElementaryMap(x, self.dt, self.direction) for x in self._xi)
 
 
 def evolve_forward(path: DrivingPath) -> LoewnerEvolution:
@@ -233,111 +181,86 @@ def _resolve_steps(evo: LoewnerEvolution, up_to: Optional[int]) -> int:
     return up_to
 
 
-def apply_map(evo: LoewnerEvolution, z: complex, up_to: Optional[int] = None) -> complex:
-    """Image of z under the first ``up_to`` steps (default: all).
+def _step_constant(evo: LoewnerEvolution) -> float:
+    """c of the chain's own steps: +4dt forward, -4dt backward."""
+    return 4.0 * evo.dt if evo.direction == "forward" else -4.0 * evo.dt
 
-    Forward direction raises :class:`SwallowedPointError` when the orbit hits
+
+def _upper(z):
+    if np.any(np.imag(z) < 0.0):
+        raise ValueError(f"point {z} is below the real axis")
+    return z
+
+
+def _raise_where(mask: np.ndarray, error: type, step: int, w: np.ndarray) -> None:
+    if mask.any():
+        raise error(step, complex(w[mask][0]))
+
+
+def _orbit(evo: LoewnerEvolution, z, steps: range, c: float, error: type,
+           derivative: bool = False):
+    """Runs z through ``steps`` of the evolution, each the slit step with
+    constant c, and returns the image (or, with ``derivative``, the
+    derivative of the composition).  Before every +4dt step the orbit is
+    tested with :func:`swallowed`; a hit raises ``error`` with the step index
+    and the current point."""
+    w = np.array(z, dtype=np.complex128, ndmin=1)
+    d = np.ones_like(w)
+    xi = evo.driving_values
+    for k in steps:
+        x = xi[k]
+        if c > 0.0:
+            _raise_where(swallowed(w - x, c), error, k, w)
+        image, s = _slit_step(w, x, c)
+        if derivative:
+            _raise_where(s == 0.0, BranchViolationError, k, w)
+            d = d * ((w - x) / s)
+        w = image
+    out = d if derivative else w
+    return complex(out[0]) if np.ndim(z) == 0 else out
+
+
+def apply_map(evo: LoewnerEvolution, z, up_to: Optional[int] = None):
+    """Image of z (a point or an array of points) under the first ``up_to``
+    steps (default: all).
+
+    Forward direction raises :class:`SwallowedPointError` when an orbit hits
     the driving singularity.
     """
-    z = complex(z)
-    if z.imag < 0.0:
-        raise ValueError(f"point {z} is below the real axis")
-    k_max = _resolve_steps(evo, up_to)
-    xi = evo._xi
-    four_dt = 4.0 * evo.dt
-    w = z
-    if evo.direction == "forward":
-        for k in range(k_max):
-            x = xi[k]
-            v = w - x
-            if _forward_swallowed(v, four_dt):
-                raise SwallowedPointError(k, w)
-            w = x + slit_sqrt(v * v + four_dt, v.real)
-    else:
-        for k in range(k_max):
-            x = xi[k]
-            v = w - x
-            w = x + slit_sqrt(v * v - four_dt, v.real)
-    return w
+    return _orbit(evo, _upper(z), range(_resolve_steps(evo, up_to)),
+                  _step_constant(evo), SwallowedPointError)
 
 
-def apply_derivative(evo: LoewnerEvolution, z: complex,
-                     up_to: Optional[int] = None) -> complex:
+def apply_derivative(evo: LoewnerEvolution, z, up_to: Optional[int] = None):
     """Derivative of the composed map at z (chain rule over the orbit)."""
-    z = complex(z)
-    if z.imag < 0.0:
-        raise ValueError(f"point {z} is below the real axis")
-    k_max = _resolve_steps(evo, up_to)
-    xi = evo._xi
-    four_dt = 4.0 * evo.dt
-    forward = evo.direction == "forward"
-    w = z
-    d = complex(1.0, 0.0)
-    for k in range(k_max):
-        x = xi[k]
-        v = w - x
-        if forward:
-            if _forward_swallowed(v, four_dt):
-                raise SwallowedPointError(k, w)
-            s = slit_sqrt(v * v + four_dt, v.real)
-        else:
-            s = slit_sqrt(v * v - four_dt, v.real)
-            if s == 0.0:
-                raise BranchViolationError(k, w)
-        d *= v / s
-        w = x + s
-    return d
+    return _orbit(evo, _upper(z), range(_resolve_steps(evo, up_to)),
+                  _step_constant(evo), SwallowedPointError, derivative=True)
 
 
-def invert_map(evo: LoewnerEvolution, w: complex,
-               down_from: Optional[int] = None) -> complex:
+def invert_map(evo: LoewnerEvolution, w, down_from: Optional[int] = None):
     """Preimage of w under the first ``down_from`` steps (default: all).
 
-    Elementary inverses are applied in reverse order; inverting a backward
+    Step inverses are applied in reverse order; inverting a backward
     chain raises :class:`BranchViolationError` when an intermediate point
     falls outside the image domain (on a step's slit).
     """
-    w = complex(w)
     k_max = _resolve_steps(evo, down_from)
-    xi = evo._xi
-    four_dt = 4.0 * evo.dt
-    if evo.direction == "forward":
-        for k in range(k_max - 1, -1, -1):
-            x = xi[k]
-            v = w - x
-            w = x + slit_sqrt(v * v - four_dt, v.real)
-    else:
-        for k in range(k_max - 1, -1, -1):
-            x = xi[k]
-            v = w - x
-            if _forward_swallowed(v, four_dt):
-                raise BranchViolationError(k, w)
-            w = x + slit_sqrt(v * v + four_dt, v.real)
-    return w
+    return _orbit(evo, w, range(k_max - 1, -1, -1), -_step_constant(evo),
+                  BranchViolationError)
 
 
-def trace(evo: LoewnerEvolution, indices: Optional[Iterable[int]] = None) -> np.ndarray:
+def trace(evo: LoewnerEvolution) -> np.ndarray:
     """Curve tip samples gamma_k = g_k^{-1}(xi_k) for a forward evolution
-    (zipper evaluation).  Unresolved tips are reported as nan+nan*1j."""
+    (zipper evaluation): the inverse of step j, for j from last to first,
+    moves every tip k > j.  Unresolved tips are reported as nan+nan*1j."""
     if evo.direction != "forward":
         raise ValueError("trace is defined for forward evolutions")
     vals = evo.driving_values
-    four_dt = 4.0 * evo.dt
-    if indices is None:
-        indices = range(evo.n_steps + 1)
-    out = []
-    for k in indices:
-        if not 0 <= k <= evo.n_steps:
-            raise ValueError(f"step index {k} out of range")
-        w = complex(vals[k], 0.0)
-        for j in range(k - 1, -1, -1):
-            x = vals[j]
-            v = w - x
-            w = x + slit_sqrt(v * v - four_dt, v.real)
-        if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-            w = complex(float("nan"), float("nan"))
-        out.append(w)
-    return np.array(out, dtype=np.complex128)
+    w = vals.astype(np.complex128)
+    for j in range(evo.n_steps - 1, -1, -1):
+        w[j + 1:] = _slit_step(w[j + 1:], vals[j], -4.0 * evo.dt)[0]
+    w[~np.isfinite(w)] = complex(math.nan, math.nan)
+    return w
 
 
 @dataclass(frozen=True, eq=False)

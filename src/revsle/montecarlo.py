@@ -17,15 +17,16 @@ of a drift-free observable stays at its t=0 value.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .driving import TimeGrid, raw_normals
-from .loewner import slit_sqrt_vec, EPS_SWALLOW
+from .loewner import slit_sqrt_vec, swallowed
 from .observables import ObservableSpec
 
 __all__ = [
@@ -131,25 +132,19 @@ class McReport:
             "verdict": self.verdict,
         }
 
-    def to_csv(self, dest) -> None:
-        if hasattr(dest, "write"):
-            self._write_csv(dest)
-        else:
-            with open(dest, "w", newline="") as fh:
-                self._write_csv(fh)
-
-    def _write_csv(self, fh) -> None:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["t", "mean", "stderr", "z", "n_alive", "n_stopped"])
-        for r in self.rows:
-            w.writerow([repr(r.t), repr(r.mean), repr(r.stderr), repr(r.z),
-                        r.n_alive, r.n_stopped])
-
     def csv_bytes(self) -> bytes:
-        import io
-        buf = io.StringIO()
-        self._write_csv(buf)
-        return buf.getvalue().encode()
+        return _csv_bytes(["t", "mean", "stderr", "z", "n_alive", "n_stopped"],
+                          ([repr(r.t), repr(r.mean), repr(r.stderr), repr(r.z),
+                            r.n_alive, r.n_stopped] for r in self.rows))
+
+
+def _csv_bytes(header: list[str], rows: Iterable[list]) -> bytes:
+    """A report's CSV file: the header, then one line per row."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue().encode()
 
 
 def _batches(n: int) -> list[tuple[int, int]]:
@@ -285,24 +280,9 @@ class InverseConsistencyReport:
             "passed": self.passed,
         }
 
-    def to_csv(self, dest) -> None:
-        if hasattr(dest, "write"):
-            self._write_csv(dest)
-        else:
-            with open(dest, "w", newline="") as fh:
-                self._write_csv(fh)
-
-    def _write_csv(self, fh) -> None:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["sample", "max_error"])
-        for i, e in enumerate(self.sample_errors):
-            w.writerow([i, repr(e)])
-
     def csv_bytes(self) -> bytes:
-        import io
-        buf = io.StringIO()
-        self._write_csv(buf)
-        return buf.getvalue().encode()
+        return _csv_bytes(["sample", "max_error"],
+                          ([i, repr(e)] for i, e in enumerate(self.sample_errors)))
 
 
 _DEFAULT_TEST_POINTS = (1j, 1.0 + 1.0j, -1.0 + 2.0j)
@@ -337,7 +317,7 @@ def run_inverse_consistency(kappa: float, horizon: float, n_steps: int,
 
     parts = _run_batched(batch, n_samples, workers)
     sample_errors = tuple(float(e) for p in parts for e in p)
-    max_error = max(sample_errors)
+    max_error = float(np.max(sample_errors))   # NaN-propagating, unlike max()
     mean_error = math.fsum(sample_errors) / n_samples
     bound = bound_constant * math.sqrt(horizon / n_steps)
     return InverseConsistencyReport(kappa, horizon, n_steps, n_samples,
@@ -410,10 +390,7 @@ def run_composed_stats(kappa: float, horizon: float, n_steps: int, n_samples: in
         for k in range(n_steps):           # forward leg (may swallow)
             x = xi_f[:, k][:, None]
             v = w - x
-            swallowed = ((np.abs(v) <= EPS_SWALLOW)
-                         | ((np.abs(v.real) <= EPS_SWALLOW) & (v.imag**2 <= four_dt))
-                         | (np.abs(v * v + four_dt) <= EPS_SWALLOW))
-            alive &= ~swallowed
+            alive &= ~swallowed(v, four_dt)
             step = x + slit_sqrt_vec(v * v + four_dt, v.real)
             w = np.where(alive, step, w)
         for k in range(n_steps):           # backward leg
@@ -423,7 +400,9 @@ def run_composed_stats(kappa: float, horizon: float, n_steps: int, n_samples: in
             w = np.where(alive, step, w)
         im = w.imag[alive]
         re = w.real[alive]
-        return (int(alive.sum()), int(np.count_nonzero(im < -1e-12)),
+        # a non-finite image is a violation: it is not known to lie in H
+        bad = ~np.isfinite(w[alive]) | (im < -1e-12)
+        return (int(alive.sum()), int(np.count_nonzero(bad)),
                 math.fsum(re), math.fsum(im), math.fsum(im * im))
 
     parts = _run_batched(batch, n_samples, workers)

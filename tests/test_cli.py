@@ -140,6 +140,47 @@ def test_simulate_and_trace_and_radial(tmp_path, capsys):
                                 "escaped", "stiff")
 
 
+def test_trace_and_radial_fields_are_plain_floats(tmp_path, capsys):
+    for sub, name in (("trace", "trace.csv"), ("radial", "radial.csv")):
+        assert run(tmp_path, sub, "--kappa", "2", "--steps", "20", "--horizon", "0.5",
+                   "--seed", "1") == 0
+        lines = (only_run_dir(tmp_path, sub + "-") / name).read_text().split("\n")
+        assert lines[-1] == "" and len(lines) == 23
+        for line in lines[1:-1]:
+            for field in line.split(","):
+                float(field)   # a numpy repr such as np.float64(0.5) raises
+
+
+@pytest.mark.parametrize("sub", ["inverse-check", "composed"])
+def test_nonfinite_sample_flips_exit_code(sub, tmp_path, nan_in_sample_1, capsys):
+    argv = [sub, "--kappa", "4", "--horizon", "0.1", "--steps", "20",
+            "--samples", "50", "--seed", "3"]
+    assert run(tmp_path / "clean", *argv) == 0
+    nan_in_sample_1()
+    assert run(tmp_path / "nan", *argv) == 1
+
+
+@pytest.mark.parametrize("sub,files", [
+    ("martingale-test", ["report.csv", "report.json"]),
+    ("inverse-check", ["samples.csv", "report.json"]),
+    ("composed", ["report.json"]),
+])
+def test_manifest_records_workers_outside_the_digest(sub, files, tmp_path, capsys):
+    # 4100 samples make two batches, so the workers really split the work
+    argv = [sub, "--kappa", "4", "--horizon", "0.05", "--steps", "5",
+            "--samples", "4100", "--seed", "2"]
+    dirs = {}
+    for workers in (1, 3):
+        run(tmp_path / str(workers), *argv, "--workers", str(workers))
+        dirs[workers] = only_run_dir(tmp_path / str(workers), sub + "-")
+        manifest = json.loads((dirs[workers] / "manifest.json").read_text())
+        assert manifest["workers"] == workers
+        assert manifest["config"]["workers"] is None
+    assert dirs[1].name == dirs[3].name
+    for name in files:
+        assert (dirs[1] / name).read_bytes() == (dirs[3] / name).read_bytes()
+
+
 def test_output_root_from_environment(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("REVSLE_OUT", str(tmp_path / "envroot"))
     assert main(["cft-table", "--kappa", "4"]) == 0

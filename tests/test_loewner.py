@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revsle.driving import TimeGrid, explicit_path, reverse_driving, sample_brownian
-from revsle.loewner import (BranchViolationError, ElementaryMap,
-                            SwallowedPointError, TanPoleError, apply_derivative,
-                            apply_map, compose_forward_backward, evolve_backward,
+from revsle.loewner import (BranchViolationError, LoewnerEvolution,
+                            SwallowedPointError, TanPoleError,
+                            apply_derivative, apply_map,
+                            compose_forward_backward, evolve_backward,
                             evolve_forward, evolve_wholeplane, invert_map,
-                            slit_sqrt, slit_sqrt_vec, trace)
+                            slit_sqrt_vec, swallowed, trace)
 
 
 def zero_path(horizon, n, kappa=4.0):
@@ -18,29 +21,49 @@ def zero_path(horizon, n, kappa=4.0):
 # --- branch of the square root ----------------------------------------------
 
 def test_slit_sqrt_picks_upper_half_plane_root():
-    for u in [1 + 2j, -3 + 0.5j, 2 - 1j, -1 - 1j]:
-        s = slit_sqrt(u, 1.0)
-        assert s.imag >= 0.0
-        assert abs(s * s - u) < 1e-14 * abs(u)
+    u = np.array([1 + 2j, -3 + 0.5j, 2 - 1j, -1 - 1j])
+    s = slit_sqrt_vec(u, np.ones(u.size))
+    assert np.all(s.imag >= 0.0)
+    assert np.all(np.abs(s * s - u) < 1e-14 * np.abs(u))
 
 
 def test_slit_sqrt_real_positive_uses_hint():
-    assert slit_sqrt(4.0 + 0j, 1.0) == 2.0
-    assert slit_sqrt(4.0 + 0j, -1.0) == -2.0
+    s = slit_sqrt_vec(np.array([4.0 + 0j, 4.0 + 0j]), np.array([1.0, -1.0]))
+    assert s[0] == 2.0 and s[1] == -2.0
 
 
 def test_slit_sqrt_real_negative_is_upper_imaginary():
-    assert slit_sqrt(-4.0 + 0j, 1.0) == 2j
-    assert slit_sqrt(-4.0 + 0j, -1.0) == 2j
+    s = slit_sqrt_vec(np.array([-4.0 + 0j, -4.0 + 0j]), np.array([1.0, -1.0]))
+    assert s[0] == 2j and s[1] == 2j
 
 
-def test_slit_sqrt_vec_matches_scalar():
+@pytest.mark.xfail(strict=True, reason="known defect: the smaller root component "
+                   "comes from sqrt((|u| - |Re u|)/2), which cancels when "
+                   "|Im u| << |Re u| (1 + 1e-10j gives 1 + 0j)")
+def test_slit_sqrt_small_component_is_accurate():
+    u = np.array([1 + 1e-10j, -1 + 1e-10j])
+    s = slit_sqrt_vec(u, np.ones(2))
+    assert np.all(np.abs(s - np.sqrt(u)) <= 1e-15)
+
+
+def principal_branch_rule(u, hint):
+    """The slit branch from numpy's principal sqrt: flip the root into the
+    closed upper half-plane, and on the real axis give it the hint's sign."""
+    s = np.sqrt(u)
+    s = np.where(s.imag < 0.0, -s, s)
+    return np.where((s.imag == 0.0) & ((s.real < 0.0) != (hint < 0.0)), -s, s)
+
+
+def test_slit_sqrt_vec_matches_principal_branch_rule():
     rng = np.random.default_rng(3)
-    u = rng.normal(size=40) + 1j * rng.normal(size=40)
-    hints = rng.normal(size=40)
+    u = rng.normal(size=400) + 1j * rng.normal(size=400)
+    u[:50] = rng.normal(size=50)          # exact reals of both signs
+    u[50:60] = 0.0
+    hints = rng.normal(size=400)
     vec = slit_sqrt_vec(u, hints)
-    for i in range(40):
-        assert vec[i] == slit_sqrt(complex(u[i]), hints[i])
+    ref = principal_branch_rule(u, hints)
+    # 1e-14 rather than a few ulp: the known cancellation (xfail above)
+    assert np.all(np.abs(vec - ref) <= 1e-14 * np.abs(ref))
 
 
 # --- zero-driving closed forms: g(z) = sqrt(z^2 +- 4t) -----------------------
@@ -233,7 +256,7 @@ def test_trace_zero_driving_is_vertical_slit():
 
 def test_trace_starts_at_driving_origin():
     evo = evolve_forward(zero_path(1.0, 10))
-    assert trace(evo, [0])[0] == 0.0
+    assert trace(evo)[0] == 0.0
 
 
 def test_trace_simple_curve_regime_statistics():
@@ -256,21 +279,142 @@ def test_trace_requires_forward():
         trace(evolve_backward(zero_path(1.0, 4)))
 
 
-# --- elementary map objects ---------------------------------------------------
-
-def test_elementary_map_round_trip():
-    m = ElementaryMap(xi=0.3, dt=0.01, direction="forward")
-    z = 1.1 + 0.9j
-    assert abs(m.invert(m.apply(z)) - z) < 1e-12
-    fd = (m.apply(z + 1e-6) - m.apply(z - 1e-6)) / 2e-6
-    assert abs(m.derivative(z) - fd) < 1e-7
-
-
-def test_elementary_map_validation():
+def test_evolution_rejects_unknown_direction():
     with pytest.raises(ValueError):
-        ElementaryMap(0.0, 0.1, "sideways")
-    with pytest.raises(ValueError):
-        ElementaryMap(0.0, -0.1, "forward")
+        LoewnerEvolution("sideways", np.zeros(3), 0.1, 4.0)
+
+
+# --- points as arrays -----------------------------------------------------------
+
+def test_array_points_keep_their_shape():
+    evo = evolve_backward(zero_path(1.0, 100))
+    z = np.array([[1j, 2j], [1 + 1j, -1 + 0.5j]])
+    w = apply_map(evo, z)
+    assert w.shape == z.shape
+    assert w[0, 0] == apply_map(evo, 1j)
+    assert isinstance(apply_map(evo, 1j), complex)
+    assert isinstance(invert_map(evo, w[0, 0]), complex)
+
+
+def test_array_swallow_reports_step_and_point():
+    evo = evolve_forward(zero_path(0.25, 10))
+    with pytest.raises(SwallowedPointError) as err:
+        apply_map(evo, np.array([10 + 1j, 1e-9j, 0j]))
+    assert err.value.step == 0 and err.value.point == 1e-9j
+
+
+def test_array_branch_violation_reports_step():
+    evo = evolve_backward(zero_path(0.25, 1))
+    with pytest.raises(BranchViolationError) as err:
+        invert_map(evo, np.array([3 + 1j, 0.5j]))
+    assert err.value.step == 0 and err.value.point == 0.5j
+
+
+def test_swallowed_mask():
+    four_dt = 0.04
+    v = np.array([0j, 0.1j, 0.2j, 0.21j, 1e-13 + 0.1j, 0.1 + 0.1j])
+    assert swallowed(v, four_dt).tolist() == [True, True, True, False, True, False]
+
+
+# --- properties of the slit maps (random drivings and points) ------------------
+
+# Derandomized: every run draws the same examples, so the suite is repeatable.
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+SEEDS = st.integers(0, 2**32 - 1)
+KAPPAS = st.floats(0.5, 8.0)
+
+
+def upper_points(im_min):
+    point = st.builds(complex, st.floats(-3.0, 3.0), st.floats(im_min, 3.0))
+    return st.lists(point, min_size=1, max_size=8).map(np.array)
+
+
+def both_chains(seed, kappa, n=40):
+    path = sample_brownian(TimeGrid(0.5, n), kappa, seed)
+    return evolve_forward(path), evolve_backward(path)
+
+
+@PROPERTY
+@given(SEEDS, KAPPAS, upper_points(0.0))
+def test_images_stay_in_closed_upper_half_plane(seed, kappa, z):
+    for evo in both_chains(seed, kappa):
+        try:
+            w = apply_map(evo, z)
+        except SwallowedPointError:
+            continue
+        assert np.all(w.imag >= 0.0)
+
+
+@PROPERTY
+@given(SEEDS, KAPPAS, upper_points(0.1))
+def test_invert_undoes_apply_off_the_slit(seed, kappa, z):
+    for evo in both_chains(seed, kappa):
+        try:
+            w = apply_map(evo, z)
+        except SwallowedPointError:   # z on a forward step's slit
+            continue
+        # The known cancellation in slit_sqrt_vec (see the xfail above) costs
+        # up to sqrt(eps) ~ 1e-8 per step, and it flushes forward images that
+        # should lie within ~1e-8 of R onto R, whose preimage is elsewhere:
+        # hence 1e-7, and images within 1e-3 of R are left out.
+        far = w.imag >= 1e-3
+        assert np.all(np.abs(invert_map(evo, w[far]) - z[far]) <= 1e-7)
+
+
+@PROPERTY
+@given(SEEDS, KAPPAS, upper_points(0.1))
+def test_derivative_agrees_with_central_difference(seed, kappa, z):
+    def stencil(evo, h):   # fourth-order central difference
+        f = [apply_map(evo, z + k * h) for k in (-2, -1, 1, 2)]
+        return (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * h)
+
+    for evo in both_chains(seed, kappa):
+        try:
+            d = apply_derivative(evo, z)
+            coarse, fine = stencil(evo, 2e-3), stencil(evo, 1e-3)
+        except SwallowedPointError:
+            continue
+        # a stencil that straddles the hull has not converged: compare only
+        # where halving h moved the difference by less than 1e-6
+        converged = np.abs(coarse - fine) <= 1e-6 * np.abs(fine)
+        assert np.all((np.abs(d - fine) <= 1e-6 * np.abs(d))[converged])
+
+
+@PROPERTY
+@given(SEEDS, KAPPAS, upper_points(0.0))
+def test_array_call_equals_scalar_calls_bitwise(seed, kappa, z):
+    for evo in both_chains(seed, kappa, n=20):
+        for f in (apply_map, apply_derivative, invert_map):
+            try:
+                together = f(evo, z)
+            except (SwallowedPointError, BranchViolationError):
+                continue
+            one_by_one = np.array([f(evo, complex(p)) for p in z])
+            assert together.tobytes() == one_by_one.tobytes()
+
+
+def reference_zipper(xi, dt):
+    """Tips gamma_k, one tip at a time, each by the inverse steps k-1..0 with
+    the branch taken from numpy's principal sqrt."""
+    tips = []
+    for k in range(len(xi)):
+        w = np.array([complex(xi[k])])
+        for j in range(k - 1, -1, -1):
+            v = w - xi[j]
+            w = xi[j] + principal_branch_rule(v * v - 4.0 * dt, v.real)
+        tips.append(w[0])
+    return np.array(tips)
+
+
+@settings(PROPERTY, max_examples=10)
+@given(SEEDS, KAPPAS)
+def test_trace_matches_independent_zipper(seed, kappa):
+    # 1e-10, not 1e-12: the known cancellation in slit_sqrt_vec puts some
+    # tips up to ~3e-12 from the reference (seed 5191, kappa 2: 1.9e-12,
+    # while the reference is within 7e-16 of a 50-digit zipper)
+    path = sample_brownian(TimeGrid(1.0, 60), kappa, seed)
+    gamma = trace(evolve_forward(path))
+    assert np.max(np.abs(gamma - reference_zipper(path.values, path.grid.dt))) <= 1e-10
 
 
 # --- whole-plane radial flow ---------------------------------------------------

@@ -138,6 +138,14 @@ def test_inverse_consistency_reproducible_across_workers():
     assert r1.csv_bytes() == r4.csv_bytes()
 
 
+def test_inverse_nan_in_a_later_sample_fails_closed(nan_in_sample_1):
+    nan_in_sample_1()
+    rep = run_inverse_consistency(4.0, 1.0, 50, 20, master_seed=7)
+    assert math.isfinite(rep.sample_errors[0]) and math.isnan(rep.sample_errors[1])
+    assert not math.isfinite(rep.max_error)
+    assert not rep.passed
+
+
 def test_inverse_rejects_low_points():
     with pytest.raises(ValueError):
         run_inverse_consistency(4.0, 1.0, 100, 10, test_points=[0.5j])
@@ -160,6 +168,12 @@ def test_composed_shared_vs_independent_differ():
     assert shared.containment_violations == 0
     assert indep.containment_violations == 0
     assert shared.mean_image != indep.mean_image
+
+
+def test_composed_counts_nan_image_as_violation(nan_in_sample_1):
+    nan_in_sample_1()
+    rep = run_composed_stats(4.0, 0.1, 20, 100, master_seed=5)
+    assert rep.containment_violations == 1
 
 
 def test_composed_rejects_boundary_grid():
