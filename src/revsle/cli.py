@@ -21,8 +21,8 @@ from pathlib import Path
 from . import __version__
 from .cft import coupling_check, kac_dimension, params_from_kappa
 from .driving import TimeGrid, path_to_csv, sample_brownian
-from .loewner import (TanPoleError, evolution_to_json, evolve_backward,
-                      evolve_forward, evolve_wholeplane, trace)
+from .loewner import (evolution_to_json, evolve_backward, evolve_forward,
+                      evolve_wholeplane, trace)
 from .montecarlo import (McConfig, run_composed_stats, run_inverse_consistency,
                          run_martingale_test)
 from .observables import (ObservableSpec, audit_one_point_exponents,
@@ -142,30 +142,22 @@ def _cmd_trace(args) -> int:
 
 def _cmd_radial(args) -> int:
     cfg = _merged(args, {"kappa": 2.0, "seed": 0, "steps": 200, "horizon": 1.0,
-                         "z0": [0.0, 1.0], "eps-sing": 1e-6})
+                         "z0": [0.0, 1.0]})
     t0 = time.time()
     run_dir, digest = _run_dir(args, "radial", cfg)
     grid = TimeGrid(float(cfg["horizon"]), int(cfg["steps"]))
     path = sample_brownian(grid, float(cfg["kappa"]), int(cfg["seed"]))
-    z0 = complex(cfg["z0"][0], cfg["z0"][1])
-    try:
-        evo = evolve_wholeplane(path, eps_sing=float(cfg["eps-sing"]), z0=z0)
-    except TanPoleError as exc:
-        print(f"radial run aborted: {exc}", file=sys.stderr)
-        return 1
+    evo = evolve_wholeplane(path, z0=complex(cfg["z0"][0], cfg["z0"][1]))
     times = grid.times()
     with open(run_dir / "radial.csv", "w", newline="") as fh:
         fh.write("t,re_g,im_g\n")
         for t, g in zip(times, evo.states):
             fh.write(_csv_floats(t, g.real, g.imag))
-    _write_json(run_dir / "radial.json", {
-        "status": evo.status,
-        "halted_step": evo.halted_step,
-        "retained_states": int(len(evo.states)),
-        "eps_sing": evo.eps_sing,
-    })
-    _write_manifest(run_dir, "radial", cfg, digest, ["radial.csv", "radial.json"], t0)
+    _write_manifest(run_dir, "radial", cfg, digest, ["radial.csv"], t0)
     print(run_dir)
+    if not evo.completed:
+        print("radial: non-finite state in the trajectory", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -328,7 +320,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", type=str, default=None,
                         help=f"output root (default ${_ENV_OUT} or ./runs)")
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--workers", type=int, default=None)
+        sp.add_argument("--workers", type=int, default=None,
+                        help="worker threads; only martingale-test, inverse-check "
+                             "and composed use them")
 
     for name in ("simulate-forward", "simulate-backward", "trace"):
         sp = sub.add_parser(name)
@@ -344,7 +338,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--horizon", type=float, default=None)
     sp.add_argument("--z0", type=lambda s: [float(v) for v in s.split(",")],
                     default=None, help="initial point RE,IM")
-    sp.add_argument("--eps-sing", type=float, default=None)
 
     sp = sub.add_parser("cft-table")
     common(sp)

@@ -18,21 +18,26 @@ test for it.
 
 The square root branch is fixed by two conditions: the image has
 non-negative imaginary part, and the map is asymptotic to the identity at
-infinity (the real part of the root carries the sign of Re(w - xi)).  It is
-implemented with explicit real/imaginary formulas in :func:`slit_sqrt_vec`
-rather than a library principal branch, so there is no cut crossing next to
-the slit.
+infinity (the real part of the root carries the sign of Re(w - xi)).
+:func:`slit_sqrt_vec` takes numpy's principal root and negates it where it
+breaks either condition, so both root components keep full relative
+accuracy, also when |Im u| << |Re u|.
 
 A whole-plane-type radial flow on the upper half-plane,
 
     dg = -(1 + g^2)/2 * (1 + eta*g)/(g - eta) dt,   eta = tan(xi),
 
-has no closed one-step solution and is integrated explicitly with adaptive
-sub-stepping (:func:`evolve_wholeplane`).
+is solved exactly as well (:func:`evolve_wholeplane`).  The automorphism
+w = (g cos xi - sin xi)/(g sin xi + cos xi) of the upper half-plane fixes i
+and sends eta to 0; in w the flow reads dw = -(1 + w^2)/(2w) dt, so
+d(1 + w^2) = -(1 + w^2) dt and 1 + w^2 decays exactly as e^{-t}.  One step
+of constant driving is therefore w -> i sqrt((1 - e^{-dt}) - e^{-dt} w^2),
+a scaled backward chordal slit step, followed by the inverse rotation.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -44,7 +49,6 @@ from .driving import DrivingPath
 __all__ = [
     "SwallowedPointError",
     "BranchViolationError",
-    "TanPoleError",
     "slit_sqrt_vec",
     "swallowed",
     "LoewnerEvolution",
@@ -63,12 +67,6 @@ __all__ = [
 # Points whose slit-map discriminant (w-xi)^2 +- 4dt falls within this of the
 # degenerate configuration are treated as absorbed / invalid.
 EPS_SWALLOW = 1e-12
-# tan poles: drivers with |xi mod pi - pi/2| below this abort a radial run.
-EPS_POLE = 1e-8
-
-_STEP_FRACTION = 1e-3     # radial sub-step control: |dg| <= 1e-3 |g - eta|
-_MAX_SUBSTEPS = 200_000   # per grid step; exceeded -> trajectory halts "stiff"
-_ESCAPE_RADIUS = 1e8
 
 
 class SwallowedPointError(Exception):
@@ -89,15 +87,6 @@ class BranchViolationError(Exception):
         super().__init__(f"branch violation at step {step}, point {point}")
 
 
-class TanPoleError(Exception):
-    """A radial driver landed within EPS_POLE of a pole of tan."""
-
-    def __init__(self, index: int, value: float):
-        self.index = index
-        self.value = value
-        super().__init__(f"driving value {value} at index {index} is at a tan pole")
-
-
 def slit_sqrt_vec(u: np.ndarray, re_hint: np.ndarray) -> np.ndarray:
     """Elementwise square root of u with Im >= 0 (complex128 arrays); for
     real u >= 0 the sign of the real part follows ``re_hint`` (the sign of
@@ -106,15 +95,8 @@ def slit_sqrt_vec(u: np.ndarray, re_hint: np.ndarray) -> np.ndarray:
     When Im(u) != 0 there is exactly one root with positive imaginary part,
     so the hint only breaks the tie on the real axis.
     """
-    a = u.real
-    b = u.imag
-    m = np.hypot(a, b)
-    re = np.sqrt(np.maximum(m + a, 0.0) * 0.5)
-    im = np.sqrt(np.maximum(m - a, 0.0) * 0.5)
-    sign = np.where(b > 0.0, 1.0,
-                    np.where(b < 0.0, -1.0,
-                             np.where(re_hint >= 0.0, 1.0, -1.0)))
-    return sign * re + 1j * im
+    s = np.sqrt(u)
+    return np.where((s.imag < 0.0) | ((s.imag == 0.0) & (re_hint < 0.0)), -s, s)
 
 
 def swallowed(v: np.ndarray, four_dt: float) -> np.ndarray:
@@ -265,82 +247,36 @@ def trace(evo: LoewnerEvolution) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RadialEvolution:
-    """States of the radial flow at grid times, up to an optional halt.
-
-    ``states[k]`` is g at grid time k; retained states satisfy Im g >= 0.
-    ``status`` is "completed", or the reason the trajectory halted:
-    "singularity" (within eps_sing of the driving point), "exited"
-    (sub-step left the closed upper half-plane), "escaped" (|g| too large),
-    or "stiff" (sub-step budget exhausted).
-    """
+    """States of the radial flow at grid times: ``states[k]`` is g at grid
+    time k, with Im g >= 0."""
 
     states: np.ndarray
     path: DrivingPath
-    status: str
-    halted_step: Optional[int]
-    eps_sing: float
 
     @property
     def completed(self) -> bool:
-        return self.status == "completed"
+        """True when every state is finite."""
+        return bool(np.all(np.isfinite(self.states)))
 
 
-def evolve_wholeplane(path: DrivingPath, eps_sing: float = 1e-6,
-                      z0: complex = 1j) -> RadialEvolution:
-    """Integrate dg = -(1+g^2)/2 * (1+eta*g)/(g-eta) dt with eta = tan(xi).
-
-    Explicit Euler with per-step subdivision: each sub-step moves g by at
-    most 1e-3 * |g - eta|, which controls the stiffness near the moving
-    singularity.  A trajectory halts (with status) instead of crossing the
-    real axis or touching the singularity.
-    """
+def evolve_wholeplane(path: DrivingPath, z0: complex = 1j) -> RadialEvolution:
+    """Flow z0 by dg = -(1+g^2)/2 * (1+eta*g)/(g-eta) dt, eta = tan(xi),
+    with the exact one-step map of the module docstring: rotate the step's
+    driving to 0, take the slit step, rotate back.  The principal root puts
+    the image in the closed upper half-plane."""
     z0 = complex(z0)
     if not z0.imag > 0.0:
         raise ValueError(f"initial point {z0} must be in the open upper half-plane")
-    vals = path.values
-    # refuse drivers that sit on a pole of tan
-    res = np.mod(vals, math.pi)
-    bad = np.nonzero(np.abs(res - math.pi / 2.0) < EPS_POLE)[0]
-    if bad.size:
-        raise TanPoleError(int(bad[0]), float(vals[bad[0]]))
-
-    dt = path.grid.dt
+    p, q = -math.expm1(-path.grid.dt), math.exp(-path.grid.dt)
+    xi = path.values[:-1]
     g = z0
     states = [g]
-    status = "completed"
-    halted = None
-    for k in range(path.grid.n_steps):
-        eta = math.tan(float(vals[k]))
-        remaining = dt
-        substeps = 0
-        while remaining > 0.0:
-            d = g - eta
-            ad = abs(d)
-            if ad < eps_sing:
-                status, halted = "singularity", k
-                break
-            if abs(g) > _ESCAPE_RADIUS:
-                status, halted = "escaped", k
-                break
-            f = -0.5 * (1.0 + g * g) * (1.0 + eta * g) / d
-            af = abs(f)
-            if af == 0.0:
-                break  # fixed point; rest of the step is a no-op
-            h = min(remaining, _STEP_FRACTION * ad / af)
-            g = g + h * f
-            remaining -= h
-            if g.imag < 0.0:
-                status, halted = "exited", k
-                break
-            substeps += 1
-            if substeps > _MAX_SUBSTEPS:
-                status, halted = "stiff", k
-                break
-        if halted is not None:
-            break
+    for c, s in zip(np.cos(xi).tolist(), np.sin(xi).tolist()):
+        w = (g * c - s) / (g * s + c)
+        w = 1j * cmath.sqrt(p - q * w * w)
+        g = (w * c + s) / (c - w * s)
         states.append(g)
-    return RadialEvolution(np.array(states, dtype=np.complex128), path,
-                           status, halted, eps_sing)
+    return RadialEvolution(np.array(states, dtype=np.complex128), path)
 
 
 def compose_forward_backward(path1: DrivingPath, path2: DrivingPath,

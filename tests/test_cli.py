@@ -1,7 +1,12 @@
+import cmath
+import itertools
 import json
+import math
+import types
 
 import pytest
 
+import revsle.loewner
 from revsle.cli import main
 
 
@@ -135,9 +140,21 @@ def test_simulate_and_trace_and_radial(tmp_path, capsys):
     assert run(tmp_path, "radial", "--kappa", "2", "--steps", "30",
                "--horizon", "0.5", "--seed", "1", "--z0", "0.0,1.0") == 0
     d = only_run_dir(tmp_path, "radial-")
-    status = json.loads((d / "radial.json").read_text())
-    assert status["status"] in ("completed", "singularity", "exited",
-                                "escaped", "stiff")
+    assert len((d / "radial.csv").read_text().strip().split("\n")) == 32
+    assert json.loads((d / "manifest.json").read_text())["outputs"] == ["radial.csv"]
+
+
+def test_radial_nonfinite_state_flips_exit_code(tmp_path, monkeypatch, capsys):
+    argv = ["radial", "--kappa", "2", "--steps", "30", "--horizon", "0.5", "--seed", "1"]
+    assert run(tmp_path / "clean", *argv) == 0
+    calls = itertools.count()
+
+    def poisoned(u):   # a NaN root at step 10
+        return complex(math.nan, math.nan) if next(calls) == 10 else cmath.sqrt(u)
+
+    monkeypatch.setattr(revsle.loewner, "cmath", types.SimpleNamespace(sqrt=poisoned))
+    assert run(tmp_path / "nan", *argv) == 1
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_trace_and_radial_fields_are_plain_floats(tmp_path, capsys):

@@ -1,13 +1,15 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from revsle.driving import TimeGrid, explicit_path, reverse_driving, sample_brownian
 from revsle.loewner import (BranchViolationError, LoewnerEvolution,
-                            SwallowedPointError, TanPoleError,
+                            SwallowedPointError,
                             apply_derivative, apply_map,
                             compose_forward_backward, evolve_backward,
                             evolve_forward, evolve_wholeplane, invert_map,
@@ -37,33 +39,32 @@ def test_slit_sqrt_real_negative_is_upper_imaginary():
     assert s[0] == 2j and s[1] == 2j
 
 
-@pytest.mark.xfail(strict=True, reason="known defect: the smaller root component "
-                   "comes from sqrt((|u| - |Re u|)/2), which cancels when "
-                   "|Im u| << |Re u| (1 + 1e-10j gives 1 + 0j)")
 def test_slit_sqrt_small_component_is_accurate():
     u = np.array([1 + 1e-10j, -1 + 1e-10j])
     s = slit_sqrt_vec(u, np.ones(2))
     assert np.all(np.abs(s - np.sqrt(u)) <= 1e-15)
 
 
-def principal_branch_rule(u, hint):
-    """The slit branch from numpy's principal sqrt: flip the root into the
-    closed upper half-plane, and on the real axis give it the hint's sign."""
-    s = np.sqrt(u)
-    s = np.where(s.imag < 0.0, -s, s)
-    return np.where((s.imag == 0.0) & ((s.real < 0.0) != (hint < 0.0)), -s, s)
+def mp_slit_root(u, hint):
+    """The slit root of an mpmath number: the root with Im >= 0, and on the
+    real axis the one whose real part has the sign of the hint."""
+    s = mpmath.sqrt(u)
+    return -s if s.imag < 0 or (s.imag == 0 and (s.real < 0) != (hint < 0)) else s
 
 
-def test_slit_sqrt_vec_matches_principal_branch_rule():
+def test_slit_sqrt_vec_matches_mpmath():
     rng = np.random.default_rng(3)
     u = rng.normal(size=400) + 1j * rng.normal(size=400)
     u[:50] = rng.normal(size=50)          # exact reals of both signs
     u[50:60] = 0.0
+    u[60] = complex(-4.0, -0.0)
+    re = rng.normal(size=40)              # |Im u| / |Re u| = 1e-10 and 1e-16
+    u[100:140] = re + 1j * re * rng.choice([1e-10, -1e-10, 1e-16, -1e-16], size=40)
     hints = rng.normal(size=400)
     vec = slit_sqrt_vec(u, hints)
-    ref = principal_branch_rule(u, hints)
-    # 1e-14 rather than a few ulp: the known cancellation (xfail above)
-    assert np.all(np.abs(vec - ref) <= 1e-14 * np.abs(ref))
+    with mpmath.workdps(50):
+        ref = np.array([complex(mp_slit_root(mpmath.mpc(a), h)) for a, h in zip(u, hints)])
+    assert np.all(np.abs(vec - ref) <= 4e-16 * np.abs(ref))
 
 
 # --- zero-driving closed forms: g(z) = sqrt(z^2 +- 4t) -----------------------
@@ -353,12 +354,10 @@ def test_invert_undoes_apply_off_the_slit(seed, kappa, z):
             w = apply_map(evo, z)
         except SwallowedPointError:   # z on a forward step's slit
             continue
-        # The known cancellation in slit_sqrt_vec (see the xfail above) costs
-        # up to sqrt(eps) ~ 1e-8 per step, and it flushes forward images that
-        # should lie within ~1e-8 of R onto R, whose preimage is elsewhere:
-        # hence 1e-7, and images within 1e-3 of R are left out.
+        # images within 1e-3 of R are left out: a forward image on R has its
+        # preimage on the slit, where the inverse is not single-valued
         far = w.imag >= 1e-3
-        assert np.all(np.abs(invert_map(evo, w[far]) - z[far]) <= 1e-7)
+        assert np.all(np.abs(invert_map(evo, w[far]) - z[far]) <= 1e-12)
 
 
 @PROPERTY
@@ -393,28 +392,27 @@ def test_array_call_equals_scalar_calls_bitwise(seed, kappa, z):
             assert together.tobytes() == one_by_one.tobytes()
 
 
-def reference_zipper(xi, dt):
-    """Tips gamma_k, one tip at a time, each by the inverse steps k-1..0 with
-    the branch taken from numpy's principal sqrt."""
+def mp_zipper(xi, dt):
+    """Tips gamma_k at 50 digits, one tip at a time, each by the inverse
+    steps k-1..0: w -> xi_j + s with s the slit root of (w - xi_j)^2 - 4dt,
+    hinted by Re(w - xi_j)."""
     tips = []
-    for k in range(len(xi)):
-        w = np.array([complex(xi[k])])
-        for j in range(k - 1, -1, -1):
-            v = w - xi[j]
-            w = xi[j] + principal_branch_rule(v * v - 4.0 * dt, v.real)
-        tips.append(w[0])
+    with mpmath.workdps(50):
+        for k in range(len(xi)):
+            w = mpmath.mpc(xi[k])
+            for j in range(k - 1, -1, -1):
+                v = w - xi[j]
+                w = xi[j] + mp_slit_root(v * v - 4 * mpmath.mpf(dt), v.real)
+            tips.append(complex(w))
     return np.array(tips)
 
 
 @settings(PROPERTY, max_examples=10)
 @given(SEEDS, KAPPAS)
 def test_trace_matches_independent_zipper(seed, kappa):
-    # 1e-10, not 1e-12: the known cancellation in slit_sqrt_vec puts some
-    # tips up to ~3e-12 from the reference (seed 5191, kappa 2: 1.9e-12,
-    # while the reference is within 7e-16 of a 50-digit zipper)
     path = sample_brownian(TimeGrid(1.0, 60), kappa, seed)
     gamma = trace(evolve_forward(path))
-    assert np.max(np.abs(gamma - reference_zipper(path.values, path.grid.dt))) <= 1e-10
+    assert np.max(np.abs(gamma - mp_zipper(path.values, path.grid.dt))) <= 1e-12
 
 
 # --- whole-plane radial flow ---------------------------------------------------
@@ -440,14 +438,63 @@ def test_radial_containment_for_sampled_drivers():
     for seed in range(20):
         path = sample_brownian(TimeGrid(0.5, 50), 2.0, seed)
         evo = evolve_wholeplane(path, z0=0.4 + 0.8j)
-        assert np.all(evo.states.imag >= 0.0)
+        assert np.all(evo.states.imag > 0.0)
 
 
-def test_radial_rejects_tan_pole():
-    grid = TimeGrid(1.0, 2)
-    path = explicit_path(grid, 1.0, [0.0, math.pi / 2.0, 0.1])
-    with pytest.raises(TanPoleError):
-        evolve_wholeplane(path, z0=1j)
+def radial_drift(g, eta):
+    return -(1 + g * g) / 2 * (1 + eta * g) / (g - eta)
+
+
+def dop853_radial(xi, dt, z0):
+    """States (n+1, points) of the radial flow by a DOP853 solve of the ODE
+    in g per grid step, at rtol 1e-12."""
+    m = z0.size
+    g = z0.astype(np.complex128)
+    out = [g]
+    for x in xi[:-1]:
+        eta = math.tan(x)
+
+        def rhs(_t, y, eta=eta):
+            d = radial_drift(y[:m] + 1j * y[m:], eta)
+            return np.concatenate([d.real, d.imag])
+
+        y = solve_ivp(rhs, (0.0, dt), np.concatenate([g.real, g.imag]),
+                      method="DOP853", rtol=1e-12, atol=1e-14).y[:, -1]
+        g = y[:m] + 1j * y[m:]
+        out.append(g)
+    return np.array(out)
+
+
+RADIAL_POINTS = np.array([complex(re, im) for re in (-1.5, 0.5) for im in (0.25, 1.0, 3.0)])
+
+
+def radial_states(path, points):
+    return np.array([evolve_wholeplane(path, z0=z).states for z in points]).T
+
+
+@pytest.mark.parametrize("xi", [0.7, -1.3, math.pi / 2.0 - 1e-3])
+def test_radial_one_step_matches_mpmath_ode(xi):
+    dt = 0.01
+    path = explicit_path(TimeGrid(dt, 1), 2.0, [xi, xi])
+    with mpmath.workdps(30):
+        eta = mpmath.tan(xi)
+        for z in (0.4 + 0.8j, -1.5 + 0.25j):
+            ref = mpmath.odefun(lambda _t, g: radial_drift(g, eta), 0, mpmath.mpc(z))(dt)
+            assert abs(evolve_wholeplane(path, z0=z).states[1] - complex(ref)) <= 1e-14
+
+
+def test_radial_matches_dop853_for_sampled_drivers():
+    for seed in range(3):
+        path = sample_brownian(TimeGrid(1.0, 100), 2.0, seed)
+        ref = dop853_radial(path.values, path.grid.dt, RADIAL_POINTS)
+        assert np.max(np.abs(radial_states(path, RADIAL_POINTS) - ref)) <= 1e-12
+
+
+def test_radial_driver_at_tan_pole_matches_reference():
+    # xi = pi/2 puts eta = tan(xi) at 1.6e16; the rotation has no pole there
+    path = explicit_path(TimeGrid(1.0, 2), 1.0, [0.0, math.pi / 2.0, 0.1])
+    ref = dop853_radial(path.values, path.grid.dt, RADIAL_POINTS)
+    assert np.max(np.abs(radial_states(path, RADIAL_POINTS) - ref)) <= 1e-12
 
 
 def test_radial_rejects_lower_half_plane_start():
