@@ -4,7 +4,9 @@ Configs come from flags or a JSON file (--config; explicit flags win).
 Each run writes its data files plus a manifest into one directory named by
 the subcommand and a digest of the canonical config, so identical configs
 land in the same place with byte-identical data; timestamps live only in
-the manifest.  Exit codes: 0 pass, 1 verdict failure, 2 usage error.
+the manifest.  The directory is made only after the inputs are validated and
+the results computed, so a usage error leaves none.  Exit codes: 0 pass,
+1 verdict failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -110,10 +112,10 @@ def _parse_kappa_list(text: str) -> list[Fraction]:
 def _cmd_simulate(args, direction: str) -> int:
     cfg = _merged(args, {"kappa": 4.0, "seed": 0, "steps": 500, "horizon": 1.0})
     t0 = time.time()
-    run_dir, digest = _run_dir(args, f"simulate-{direction}", cfg)
     grid = TimeGrid(float(cfg["horizon"]), int(cfg["steps"]))
     path = sample_brownian(grid, float(cfg["kappa"]), int(cfg["seed"]))
     evo = evolve_forward(path) if direction == "forward" else evolve_backward(path)
+    run_dir, digest = _run_dir(args, f"simulate-{direction}", cfg)
     path_to_csv(path, run_dir / "path.csv")
     _write_json(run_dir / "evolution.json", evolution_to_json(evo))
     _write_manifest(run_dir, f"simulate-{direction}", cfg, digest,
@@ -125,12 +127,12 @@ def _cmd_simulate(args, direction: str) -> int:
 def _cmd_trace(args) -> int:
     cfg = _merged(args, {"kappa": 2.0, "seed": 0, "steps": 200, "horizon": 1.0})
     t0 = time.time()
-    run_dir, digest = _run_dir(args, "trace", cfg)
     grid = TimeGrid(float(cfg["horizon"]), int(cfg["steps"]))
     path = sample_brownian(grid, float(cfg["kappa"]), int(cfg["seed"]))
     evo = evolve_forward(path)
     gamma = trace(evo)
     times = grid.times()
+    run_dir, digest = _run_dir(args, "trace", cfg)
     with open(run_dir / "trace.csv", "w", newline="") as fh:
         fh.write("t,re_gamma,im_gamma\n")
         for t, g in zip(times, gamma):
@@ -144,11 +146,14 @@ def _cmd_radial(args) -> int:
     cfg = _merged(args, {"kappa": 2.0, "seed": 0, "steps": 200, "horizon": 1.0,
                          "z0": [0.0, 1.0]})
     t0 = time.time()
-    run_dir, digest = _run_dir(args, "radial", cfg)
+    z0 = cfg["z0"]
+    if not isinstance(z0, list) or len(z0) != 2:
+        raise SystemExit(f"radial: z0 needs two values RE,IM, got {z0!r}")
     grid = TimeGrid(float(cfg["horizon"]), int(cfg["steps"]))
     path = sample_brownian(grid, float(cfg["kappa"]), int(cfg["seed"]))
-    evo = evolve_wholeplane(path, z0=complex(cfg["z0"][0], cfg["z0"][1]))
+    evo = evolve_wholeplane(path, z0=complex(float(z0[0]), float(z0[1])))
     times = grid.times()
+    run_dir, digest = _run_dir(args, "radial", cfg)
     with open(run_dir / "radial.csv", "w", newline="") as fh:
         fh.write("t,re_g,im_g\n")
         for t, g in zip(times, evo.states):
@@ -164,7 +169,6 @@ def _cmd_radial(args) -> int:
 def _cmd_cft_table(args) -> int:
     cfg = _merged(args, {"kappa": "2,8/3,3,4,6,8"})
     t0 = time.time()
-    run_dir, digest = _run_dir(args, "cft-table", cfg)
     rows = []
     for k in _parse_kappa_list(str(cfg["kappa"])):
         c_l, c_m, total = coupling_check(k)
@@ -173,6 +177,7 @@ def _cmd_cft_table(args) -> int:
         rows.append((k, c_l, c_m, total,
                      kac_dimension(liou, 1, 2), kac_dimension(matt, 1, 2),
                      kac_dimension(liou, 1, 3)))
+    run_dir, digest = _run_dir(args, "cft-table", cfg)
     with open(run_dir / "table.csv", "w", newline="") as fh:
         fh.write("kappa,c_L,c_M,sum,h12_L,h12_M,h13_L\n")
         for row in rows:
@@ -185,7 +190,6 @@ def _cmd_cft_table(args) -> int:
 def _cmd_virasoro_check(args) -> int:
     cfg = _merged(args, {"kappa": "2"})
     t0 = time.time()
-    run_dir, digest = _run_dir(args, "virasoro-check", cfg)
     records = []
     ok = True
     for k in _parse_kappa_list(str(cfg["kappa"])):
@@ -204,6 +208,7 @@ def _cmd_virasoro_check(args) -> int:
                 ok = ok and w.matches_formula
             ok = ok and s12 and s21
             records.append(rec)
+    run_dir, digest = _run_dir(args, "virasoro-check", cfg)
     _write_json(run_dir / "report.json", {"records": records, "all_pass": ok})
     print(json.dumps(records, indent=2))
     _write_manifest(run_dir, "virasoro-check", cfg, digest, ["report.json"], t0)
@@ -220,7 +225,6 @@ def _cmd_exponents(args) -> int:
     cfg["h"] = h
     cfg["kappa"] = kappa
     t0 = time.time()
-    run_dir, digest = _run_dir(args, "exponents", cfg)
     roots = one_point_exponents(kappa, h)
     audit = audit_one_point_exponents(kappa)
     payload = {
@@ -232,6 +236,7 @@ def _cmd_exponents(args) -> int:
         "proposed_pair_ok": audit.proposed.satisfies,
         "derived_pairs": audit.to_json()["derived_pairs"],
     }
+    run_dir, digest = _run_dir(args, "exponents", cfg)
     _write_json(run_dir / "report.json", payload)
     print(json.dumps(payload, indent=2))
     _write_manifest(run_dir, "exponents", cfg, digest, ["report.json"], t0)
@@ -246,7 +251,6 @@ def _cmd_martingale(args) -> int:
     workers = int(cfg["workers"] or os.cpu_count() or 1)
     cfg["workers"] = None  # worker count must not enter the digest
     t0 = time.time()
-    run_dir, digest = _run_dir(args, "martingale-test", cfg)
     obs = ObservableSpec(points=(float(cfg["y"]),),
                          weights=(float(cfg["exponent-a"]),),
                          exponents=(float(cfg["exponent-a"]), float(cfg["exponent-b"])))
@@ -255,6 +259,7 @@ def _cmd_martingale(args) -> int:
                   master_seed=int(cfg["seed"]), observable=obs,
                   eps_stop=float(cfg["eps-stop"]))
     report = run_martingale_test(mc, workers=workers)
+    run_dir, digest = _run_dir(args, "martingale-test", cfg)
     (run_dir / "report.csv").write_bytes(report.csv_bytes())
     _write_json(run_dir / "report.json", report.to_json())
     _write_manifest(run_dir, "martingale-test", cfg, digest,
@@ -272,11 +277,11 @@ def _cmd_inverse_check(args) -> int:
     workers = int(cfg["workers"] or os.cpu_count() or 1)
     cfg["workers"] = None
     t0 = time.time()
-    run_dir, digest = _run_dir(args, "inverse-check", cfg)
     report = run_inverse_consistency(float(cfg["kappa"]), float(cfg["horizon"]),
                                      int(cfg["steps"]), int(cfg["samples"]),
                                      master_seed=int(cfg["seed"]),
                                      workers=workers)
+    run_dir, digest = _run_dir(args, "inverse-check", cfg)
     (run_dir / "samples.csv").write_bytes(report.csv_bytes())
     _write_json(run_dir / "report.json", report.to_json())
     _write_manifest(run_dir, "inverse-check", cfg, digest,
@@ -293,11 +298,11 @@ def _cmd_composed(args) -> int:
     workers = int(cfg["workers"] or os.cpu_count() or 1)
     cfg["workers"] = None
     t0 = time.time()
-    run_dir, digest = _run_dir(args, "composed", cfg)
     report = run_composed_stats(float(cfg["kappa"]), float(cfg["horizon"]),
                                 int(cfg["steps"]), int(cfg["samples"]),
                                 shared_driving=bool(cfg["shared-driving"]),
                                 master_seed=int(cfg["seed"]), workers=workers)
+    run_dir, digest = _run_dir(args, "composed", cfg)
     _write_json(run_dir / "report.json", report.to_json())
     _write_manifest(run_dir, "composed", cfg, digest, ["report.json"], t0, workers)
     print(f"survival={report.survival_fraction:.4f} "

@@ -13,11 +13,18 @@ shared state:
 This recipe is part of the reproducibility contract: identical
 (grid, kappa, seed) always produce bitwise-identical paths, and the raw
 normals do not depend on kappa (so paths scale exactly with sqrt(kappa)).
+
+Each thread keeps one Philox generator and re-keys it per call by setting
+its state (key ``seed mod 2**128``, counter at the requested block, buffer
+empty).  This yields the same words as a fresh ``Philox(key=seed)``, whose
+construction also draws a SeedSequence from OS entropy and costs more than
+the words themselves, and it leaves no state from one call to the next.
 """
 
 from __future__ import annotations
 
 import csv
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +46,8 @@ __all__ = [
 ]
 
 _KEY_MOD = 1 << 128  # Philox key width
+_WORD = (1 << 64) - 1
+_local = threading.local()  # .gen: this thread's re-keyable Philox
 
 
 @dataclass(frozen=True)
@@ -102,19 +111,34 @@ class DrivingPath:
         return self.grid.n_steps
 
 
+def _normals(seed: int, n: int, block: int = 0) -> np.ndarray:
+    """Standard normals 4*block .. 4*block+n-1 of the stream keyed by seed."""
+    gen = getattr(_local, "gen", None)
+    if gen is None:
+        gen = _local.gen = Philox(0)
+    key = seed % _KEY_MOD
+    gen.state = {"bit_generator": "Philox",
+                 "state": {"counter": [(block >> s) & _WORD for s in (0, 64, 128, 192)],
+                           "key": [key & _WORD, key >> 64]},
+                 "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+                 "has_uint32": 0, "uinteger": 0}
+    raw = gen.random_raw(n)
+    raw >>= np.uint64(11)
+    u = raw.astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return ndtri(u, out=u)
+
+
 def raw_normals(seed: int, n: int) -> np.ndarray:
     """First n standard normals of the counter-based stream keyed by seed."""
-    raw = Philox(key=seed % _KEY_MOD).random_raw(n)
-    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return ndtri(u)
+    return _normals(seed, n)
+
 
 def normal_increment(seed: int, k: int) -> float:
     """Standard normal number k of the stream, computed without its
     predecessors (Philox counters advance in blocks of four 64-bit words)."""
-    gen = Philox(key=seed % _KEY_MOD)
-    gen.advance(k // 4)
-    raw = int(gen.random_raw(k % 4 + 1)[-1])
-    return float(ndtri(((raw >> 11) + 0.5) * 2.0**-53))
+    return float(_normals(seed, k % 4 + 1, k // 4)[-1])
 
 
 def sample_brownian(grid: TimeGrid, kappa: float, seed: int) -> DrivingPath:

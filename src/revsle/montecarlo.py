@@ -6,6 +6,9 @@ batch order.  The batch layout never depends on the worker count, so a run
 is bitwise reproducible for any parallelism (workers only change which
 thread evaluates a batch, not what it computes).
 
+Driving blocks are step-major, shape (n_steps+1, batch), so each step of a
+flow loop reads one contiguous row.
+
 The martingale test evolves a boundary point under the backward flow in
 log space and applies optional stopping: a sample freezes at the last step
 where X = g(y) - xi both exceeds eps_stop and can take another real step
@@ -161,16 +164,28 @@ def _run_batched(task: Callable, n_samples: int, workers: int) -> list:
 
 def _xi_block(master_seed: int, lo: int, hi: int, kappa: float,
               dt: float, n_steps: int) -> np.ndarray:
-    """Driving values for samples lo..hi-1, shape (hi-lo, n_steps+1).
-    Row i reproduces sample_brownian(grid, kappa, master_seed + lo + i)."""
+    """Driving values for samples lo..hi-1, shape (n_steps+1, hi-lo).
+    Column i reproduces sample_brownian(grid, kappa, master_seed + lo + i)."""
     b = hi - lo
-    z = np.empty((b, n_steps))
+    rows = np.empty((b, n_steps + 1))
+    rows[:, 0] = 0.0
+    z = rows[:, 1:]
     for i in range(b):
         z[i] = raw_normals(master_seed + lo + i, n_steps)
-    xi = np.empty((b, n_steps + 1))
-    xi[:, 0] = 0.0
-    np.cumsum(np.sqrt(kappa * dt) * z, axis=1, out=xi[:, 1:])
-    return xi
+    z *= np.sqrt(kappa * dt)
+    # per-sample cumsum in place, as in sample_brownian, then one
+    # contiguous transpose
+    np.cumsum(z, axis=1, out=z)
+    return np.ascontiguousarray(rows.T)
+
+
+def _ensemble_dt(kappa: float, horizon: float, n_steps: int, n_samples: int) -> float:
+    """Step of the ensemble's grid, after checking the run's parameters."""
+    if not kappa > 0.0:
+        raise ValueError("kappa must be positive")
+    if n_samples < 1:
+        raise ValueError("need n_samples >= 1")
+    return TimeGrid(horizon, n_steps).dt   # validates horizon and n_steps
 
 
 def run_martingale_test(config: McConfig, workers: int = 1) -> McReport:
@@ -206,7 +221,7 @@ def run_martingale_test(config: McConfig, workers: int = 1) -> McReport:
         stats = []
         pending = list(check_idx)
         for k in range(config.n_steps + 1):
-            x = w - xi[:, k]
+            x = w - xi[k]
             # below eps_stop the sample froze at its previous value; above it
             # the state is evaluable even when no further real step exists
             above = alive & (x > config.eps_stop)
@@ -215,16 +230,17 @@ def run_martingale_test(config: McConfig, workers: int = 1) -> McReport:
             if one_point:
                 vals = np.exp(a * log_gp + b * log_x)
             else:
-                vals = obs.func(np.exp(log_gp), w, xi[:, k])
+                vals = obs.func(np.exp(log_gp), w, xi[k])
             frozen = np.where(above, vals, frozen)
-            alive = above & (x * x > four_dt)
+            x2 = x * x
+            alive = above & (x2 > four_dt)
             if pending and k == pending[0]:
                 pending.pop(0)
                 stats.append((math.fsum(frozen), math.fsum(frozen * frozen),
                               int(alive.sum())))
             if k < config.n_steps:
-                root = np.sqrt(np.where(alive, x * x - four_dt, 1.0))
-                w = np.where(alive, xi[:, k] + root, w)
+                root = np.sqrt(np.where(alive, x2 - four_dt, 1.0))
+                w = np.where(alive, xi[k] + root, w)
                 log_gp = np.where(alive, log_gp + log_x - np.log(root), log_gp)
         return stats
 
@@ -298,19 +314,18 @@ def run_inverse_consistency(kappa: float, horizon: float, n_steps: int,
     pts = np.array([complex(z) for z in test_points])
     if np.any(pts.imag < 1.0):
         raise ValueError("test points must have Im z >= 1")
-    dt = horizon / n_steps
+    dt = _ensemble_dt(kappa, horizon, n_steps, n_samples)
     four_dt = 4.0 * dt
 
     def batch(lo: int, hi: int):
         xi = _xi_block(master_seed, lo, hi, kappa, dt, n_steps)
-        xi_rev = xi[:, ::-1]
         w = np.broadcast_to(pts, (hi - lo, pts.size)).astype(np.complex128).copy()
-        for k in range(n_steps):           # backward chain, reversed driving
-            x = xi_rev[:, k][:, None]
+        for k in range(n_steps, 0, -1):    # backward chain, reversed driving
+            x = xi[k][:, None]
             v = w - x
             w = x + slit_sqrt_vec(v * v - four_dt, v.real)
         for k in range(n_steps):           # forward chain, original driving
-            x = xi[:, k][:, None]
+            x = xi[k][:, None]
             v = w - x
             w = x + slit_sqrt_vec(v * v + four_dt, v.real)
         return np.max(np.abs(w - pts), axis=1)
@@ -372,7 +387,7 @@ def run_composed_stats(kappa: float, horizon: float, n_steps: int, n_samples: in
     pts = np.array([complex(z) for z in z_grid])
     if np.any(pts.imag <= 0.0):
         raise ValueError("grid points must be in the open upper half-plane")
-    dt = horizon / n_steps
+    dt = _ensemble_dt(kappa, horizon, n_steps, n_samples)
     four_dt = 4.0 * dt
 
     def batch(lo: int, hi: int):
@@ -383,18 +398,18 @@ def run_composed_stats(kappa: float, horizon: float, n_steps: int, n_samples: in
         else:
             # sample i draws seeds 2*master_seed + 2i (forward) and + 2i+1 (backward)
             xi_all = _xi_block(2 * master_seed, 2 * lo, 2 * hi, kappa, dt, n_steps)
-            xi_f = xi_all[0::2]
-            xi_b = xi_all[1::2]
+            xi_f = xi_all[:, 0::2]
+            xi_b = xi_all[:, 1::2]
         w = np.broadcast_to(pts, (m, pts.size)).astype(np.complex128).copy()
         alive = np.ones(w.shape, dtype=bool)
         for k in range(n_steps):           # forward leg (may swallow)
-            x = xi_f[:, k][:, None]
+            x = xi_f[k][:, None]
             v = w - x
             alive &= ~swallowed(v, four_dt)
             step = x + slit_sqrt_vec(v * v + four_dt, v.real)
             w = np.where(alive, step, w)
         for k in range(n_steps):           # backward leg
-            x = xi_b[:, k][:, None]
+            x = xi_b[k][:, None]
             v = w - x
             step = x + slit_sqrt_vec(v * v - four_dt, v.real)
             w = np.where(alive, step, w)

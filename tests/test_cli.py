@@ -2,6 +2,8 @@ import cmath
 import itertools
 import json
 import math
+import multiprocessing
+import threading
 import types
 
 import pytest
@@ -196,6 +198,42 @@ def test_manifest_records_workers_outside_the_digest(sub, files, tmp_path, capsy
     assert dirs[1].name == dirs[3].name
     for name in files:
         assert (dirs[1] / name).read_bytes() == (dirs[3] / name).read_bytes()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_radial_z0_needs_two_values(source, tmp_path, capsys):
+    if source == "flag":
+        argv = ["radial", "--z0", "1"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"z0": [1]}))
+        argv = ["radial", "--config", str(cfg)]
+    assert run(tmp_path / "out", *argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().split("\n")) == 1 and "z0" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["radial", "--z0", "0,-1"],
+    ["martingale-test", "--samples", "5"],
+    ["inverse-check", "--steps", "0"],
+    ["composed", "--steps", "0"],
+    ["inverse-check", "--kappa", "-1"],
+    ["composed", "--kappa", "-1"],
+], ids=["radial", "martingale-test", "inverse-check", "composed",
+        "inverse-check-kappa", "composed-kappa"])
+def test_usage_error_leaves_no_run_directory(argv, tmp_path, capsys):
+    assert run(tmp_path, *argv) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_workers_leave_no_thread_or_process(tmp_path, capsys):
+    before = threading.active_count()
+    assert run(tmp_path, "inverse-check", "--kappa", "4", "--horizon", "0.05",
+               "--steps", "3", "--samples", "4100", "--seed", "2", "--workers", "2") == 0
+    assert threading.active_count() == before
+    assert multiprocessing.active_children() == []
 
 
 def test_output_root_from_environment(tmp_path, monkeypatch, capsys):

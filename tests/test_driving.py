@@ -4,6 +4,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from numpy.random import Philox
+from scipy.special import ndtri
 
 from revsle.driving import (DrivingPath, TimeGrid, explicit_path,
                             normal_increment, path_from_json, path_to_csv,
@@ -80,10 +82,41 @@ def test_scaling_in_sqrt_kappa():
     np.testing.assert_allclose(by3, 3.0 * base.values, rtol=0.0, atol=1e-13)
 
 
+def reference_normals(seed, n):
+    """The module docstring's recipe on a fresh generator for every call."""
+    raw = Philox(key=seed % 2**128).random_raw(n)
+    return ndtri(((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
+
+
+STREAM_SEEDS = [0, 1, 2**64 - 1, 2**64, 2**127 + 5, 2**128 + 3, -7]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_raw_normals_match_fresh_philox(seed):
+    assert np.array_equal(raw_normals(seed, 500), reference_normals(seed, 500))
+
+
+def test_raw_normals_leave_no_state_after_odd_lengths():
+    # 13 and 7 words leave a part-used block of four in the generator
+    for n in (13, 7, 13, 1, 6):
+        for seed in STREAM_SEEDS:
+            assert np.array_equal(raw_normals(seed, n), reference_normals(seed, n))
+
+
+def test_raw_normals_match_under_interleaving_threads():
+    seeds = [s * 2**61 + s for s in range(64)]
+    expected = [reference_normals(s, 13 + s % 5) for s in seeds]
+    with ThreadPoolExecutor(max_workers=8) as ex:
+        got = list(ex.map(lambda s: raw_normals(s, 13 + s % 5), seeds))
+    for a, b in zip(got, expected):
+        assert np.array_equal(a, b)
+
+
 def test_normal_increment_matches_stream():
-    zs = raw_normals(31415, 13)
-    for k in range(13):
-        assert normal_increment(31415, k) == zs[k]
+    for seed in (31415, 2**64 + 9, -7):
+        zs = reference_normals(seed, 14)
+        for k in range(14):
+            assert normal_increment(seed, k) == zs[k]
 
 
 def test_reverse_explicit_values():

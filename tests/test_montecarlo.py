@@ -1,9 +1,12 @@
 import math
+import multiprocessing
+import threading
 
 import numpy as np
 import pytest
 
-from revsle.montecarlo import (McConfig, run_composed_stats,
+from revsle.driving import TimeGrid, sample_brownian
+from revsle.montecarlo import (McConfig, _xi_block, run_composed_stats,
                                run_inverse_consistency, run_martingale_test)
 from revsle.observables import ObservableSpec
 
@@ -35,6 +38,41 @@ def test_default_checkpoints_end_at_horizon():
     idx = cfg.checkpoint_indices()
     assert len(idx) == 5
     assert idx[-1] == 100
+
+
+@pytest.mark.parametrize("master,lo,hi", [(0, 0, 4), (7, 3, 10), (2**64, 4093, 4099)])
+def test_xi_block_columns_are_sampled_paths(master, lo, hi):
+    grid = TimeGrid(0.3, 17)
+    xi = _xi_block(master, lo, hi, 2.5, grid.dt, grid.n_steps)
+    assert xi.shape == (18, hi - lo) and xi.flags.c_contiguous
+    for i in range(hi - lo):
+        assert np.array_equal(xi[:, i], sample_brownian(grid, 2.5, master + lo + i).values)
+
+
+def test_xi_block_composed_layout():
+    # run_composed_stats: sample i drives forward with seed 2*master + 2i and
+    # backward with 2*master + 2i + 1
+    grid, master, lo, hi = TimeGrid(0.25, 9), 5, 2, 9
+    xi = _xi_block(2 * master, 2 * lo, 2 * hi, 4.0, grid.dt, grid.n_steps)
+    for j, i in enumerate(range(lo, hi)):
+        fwd = sample_brownian(grid, 4.0, 2 * master + 2 * i).values
+        bwd = sample_brownian(grid, 4.0, 2 * master + 2 * i + 1).values
+        assert np.array_equal(xi[:, 0::2][:, j], fwd)
+        assert np.array_equal(xi[:, 1::2][:, j], bwd)
+
+
+# 4100 samples make two batches, so four workers start more than one thread
+@pytest.mark.parametrize("engine", [
+    lambda: run_martingale_test(McConfig(kappa=4.0, horizon=0.05, n_steps=3, n_samples=4100,
+                                         master_seed=1, observable=DRIFT_FREE), workers=4),
+    lambda: run_inverse_consistency(4.0, 0.05, 3, 4100, master_seed=1, workers=4),
+    lambda: run_composed_stats(4.0, 0.05, 3, 4100, master_seed=1, workers=4),
+], ids=["martingale", "inverse", "composed"])
+def test_engine_leaves_no_thread_or_process(engine):
+    before = threading.active_count()
+    engine()
+    assert threading.active_count() == before
+    assert multiprocessing.active_children() == []
 
 
 def test_constant_observable_mean_is_exactly_one():
