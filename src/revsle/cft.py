@@ -29,7 +29,6 @@ __all__ = [
     "CftParams",
     "KacLabel",
     "params_from_kappa",
-    "central_charge",
     "kac_dimension",
     "kac_alpha",
     "coupling_check",
@@ -93,10 +92,6 @@ def params_from_kappa(kappa: Number, sector: Sector) -> CftParams:
     q2 = b2 + 2 + 1 / b2
     c = 1 + 6 * q2
     return CftParams(k, sector, b2, q2, c)
-
-
-def central_charge(params: CftParams) -> Number:
-    return params.c
 
 
 def kac_dimension(params: CftParams, r: int, s: int) -> Number:

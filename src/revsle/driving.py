@@ -23,7 +23,7 @@ the words themselves, and it leaves no state from one call to the next.
 
 from __future__ import annotations
 
-import csv
+import math
 import threading
 from dataclasses import dataclass
 
@@ -41,8 +41,6 @@ __all__ = [
     "raw_normals",
     "normal_increment",
     "path_to_csv",
-    "path_to_json",
-    "path_from_json",
 ]
 
 _KEY_MOD = 1 << 128  # Philox key width
@@ -62,8 +60,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not self.horizon > 0.0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
 
@@ -94,8 +92,8 @@ class DrivingPath:
     origin: str  # "sampled" | "reversed" | "explicit"
 
     def __post_init__(self):
-        if not self.kappa > 0.0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
+        if not 0.0 < self.kappa < math.inf:
+            raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
         if self.origin not in ("sampled", "reversed", "explicit"):
             raise ValueError(f"unknown origin {self.origin!r}")
         vals = np.asarray(self.values, dtype=np.float64)
@@ -147,8 +145,8 @@ def sample_brownian(grid: TimeGrid, kappa: float, seed: int) -> DrivingPath:
     Deterministic in (grid, kappa, seed).  Increment k is
     sqrt(kappa*dt) times standard normal k of the stream keyed by seed.
     """
-    if not kappa > 0.0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    if not 0.0 < kappa < math.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
     z = raw_normals(seed, grid.n_steps)
     values = np.empty(grid.n_steps + 1)
     values[0] = 0.0
@@ -175,33 +173,9 @@ def quadratic_variation(path: DrivingPath) -> float:
     return float(np.sum(np.square(np.diff(path.values))))
 
 
-def path_to_csv(path: DrivingPath, dest) -> None:
-    """Write columns (t, xi).  ``dest`` is a file path or text file object."""
-    if hasattr(dest, "write"):
-        _write_csv(path, dest)
-    else:
-        with open(dest, "w", newline="") as fh:
-            _write_csv(path, fh)
-
-
-def _write_csv(path: DrivingPath, fh) -> None:
-    w = csv.writer(fh, lineterminator="\n")
-    w.writerow(["t", "xi"])
-    for t, x in zip(path.grid.times(), path.values):
-        w.writerow([repr(float(t)), repr(float(x))])
-
-
-def path_to_json(path: DrivingPath) -> dict:
-    return {
-        "kappa": path.kappa,
-        "T": path.grid.horizon,
-        "n_steps": path.grid.n_steps,
-        "seed": path.seed,
-        "values": [float(v) for v in path.values],
-    }
-
-
-def path_from_json(record: dict) -> DrivingPath:
-    grid = TimeGrid(record["T"], record["n_steps"])
-    return DrivingPath(grid, record["kappa"], np.array(record["values"]),
-                       record.get("seed", 0), "explicit")
+def path_to_csv(path: DrivingPath) -> bytes:
+    """Columns (t, xi) as CSV bytes."""
+    lines = ["t,xi\n"]
+    lines += [f"{t!r},{x!r}\n" for t, x in zip(path.grid.times().tolist(),
+                                               path.values.tolist())]
+    return "".join(lines).encode()

@@ -60,7 +60,6 @@ __all__ = [
     "trace",
     "RadialEvolution",
     "evolve_wholeplane",
-    "compose_forward_backward",
     "evolution_to_json",
 ]
 
@@ -277,17 +276,6 @@ def evolve_wholeplane(path: DrivingPath, z0: complex = 1j) -> RadialEvolution:
         g = (w * c + s) / (c - w * s)
         states.append(g)
     return RadialEvolution(np.array(states, dtype=np.complex128), path)
-
-
-def compose_forward_backward(path1: DrivingPath, path2: DrivingPath,
-                             z: complex, up_to: Optional[int] = None) -> complex:
-    """Image of z under backward(path1) o forward(path2), both advanced on
-    the same grid.  The two drivings may be independent or identical."""
-    if (path1.grid.n_steps != path2.grid.n_steps
-            or path1.grid.horizon != path2.grid.horizon):
-        raise ValueError("drivings must share the time grid")
-    w = apply_map(evolve_forward(path2), z, up_to)
-    return apply_map(evolve_backward(path1), w, up_to)
 
 
 def evolution_to_json(evo: LoewnerEvolution) -> dict:

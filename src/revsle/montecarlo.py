@@ -63,14 +63,11 @@ class McConfig:
     eps_stop: float = 1e-3
 
     def __post_init__(self):
-        if not self.kappa > 0.0:
-            raise ValueError("kappa must be positive")
+        if not 0.0 < self.kappa < math.inf:
+            raise ValueError("kappa must be positive and finite")
         if self.n_samples < 100:
             raise ValueError("need n_samples >= 100")
-        if self.n_steps < 1:
-            raise ValueError("need n_steps >= 1")
-        if not self.horizon > 0.0:
-            raise ValueError("horizon must be positive")
+        TimeGrid(self.horizon, self.n_steps)   # checks horizon and n_steps
         self.checkpoint_indices()   # checkpoints must sit on the grid
 
     @property
@@ -181,8 +178,8 @@ def _xi_block(master_seed: int, lo: int, hi: int, kappa: float,
 
 def _ensemble_dt(kappa: float, horizon: float, n_steps: int, n_samples: int) -> float:
     """Step of the ensemble's grid, after checking the run's parameters."""
-    if not kappa > 0.0:
-        raise ValueError("kappa must be positive")
+    if not 0.0 < kappa < math.inf:
+        raise ValueError("kappa must be positive and finite")
     if n_samples < 1:
         raise ValueError("need n_samples >= 1")
     return TimeGrid(horizon, n_steps).dt   # validates horizon and n_steps

@@ -33,14 +33,13 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from .cft import KacLabel
-from .loewner import LoewnerEvolution, apply_derivative, apply_map
+# apply_map and apply_derivative are not called here: perfbench's tracer test
+# pins these two bindings in this module.
+from .loewner import LoewnerEvolution, apply_derivative, apply_map  # noqa: F401
 
 __all__ = [
-    "NegativeBaseError",
     "PointsTooCloseError",
     "ObservableSpec",
-    "CovariantField",
-    "covariant_field",
     "bpz_generator",
     "bpz_operator_level2",
     "drift_residual",
@@ -59,10 +58,6 @@ _H1_REL = 1e-5     # relative step, first derivatives
 # noise 4*eps/h^2 ~ 2e-6 would exceed the 1e-6 residual budget, while 1e-4
 # balances truncation and roundoff near 1e-7.
 _H2_REL = 1e-4
-
-
-class NegativeBaseError(Exception):
-    """Real power of a negative real base was requested (no branch is chosen)."""
 
 
 class PointsTooCloseError(Exception):
@@ -102,31 +97,6 @@ class ObservableSpec:
                 raise ValueError("generic_callable needs func")
         else:
             raise ValueError(f"unknown form {self.form!r}")
-
-
-class CovariantField(NamedTuple):
-    factor: complex   # (g'(z))^h
-    image: complex    # g(z)
-
-
-def covariant_field(evo: LoewnerEvolution, z: complex, h: float,
-                    up_to: Optional[int] = None) -> CovariantField:
-    """Covariant transport of a weight-h boundary/bulk primary: returns
-    (g'(z))^h together with the transported point g(z).
-
-    For real z the derivative is real; a negative value raises
-    NegativeBaseError rather than silently picking a complex branch.
-    """
-    image = apply_map(evo, z, up_to)
-    if h == 0.0:
-        return CovariantField(complex(1.0, 0.0), image)
-    d = apply_derivative(evo, z, up_to)
-    if complex(z).imag == 0.0 and abs(d.imag) < 1e-14:
-        if d.real <= 0.0:
-            raise NegativeBaseError(
-                f"derivative {d.real} at real point {z} has no real power")
-        return CovariantField(complex(d.real ** h, 0.0), image)
-    return CovariantField(d ** h, image)
 
 
 def _d1(f: Callable[[float], float], x: float) -> float:

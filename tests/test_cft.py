@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from revsle.cft import (CftParams, KacLabel, central_charge, coupling_check,
+from revsle.cft import (CftParams, KacLabel, coupling_check,
                         kac_alpha, kac_dimension, params_from_kappa)
 
 KAPPAS = [Fraction(2), Fraction(8, 3), Fraction(3), Fraction(4), Fraction(6), Fraction(8)]
@@ -40,7 +40,7 @@ def test_matter_charge_closed_form_sweep():
 def test_central_charge_kappa_2_liouville():
     p = params_from_kappa(2, "liouville")
     assert p.q_squared == Fraction(9, 2)
-    assert central_charge(p) == 28
+    assert p.c == 28
 
 
 def test_kappa_validation():

@@ -1,4 +1,6 @@
+import argparse
 import cmath
+import hashlib
 import itertools
 import json
 import math
@@ -8,6 +10,7 @@ import types
 
 import pytest
 
+import revsle.cli
 import revsle.loewner
 from revsle.cli import main
 
@@ -214,17 +217,142 @@ def test_radial_z0_needs_two_values(source, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["radial", "--z0", "0,-1"],
-    ["martingale-test", "--samples", "5"],
-    ["inverse-check", "--steps", "0"],
-    ["composed", "--steps", "0"],
-    ["inverse-check", "--kappa", "-1"],
-    ["composed", "--kappa", "-1"],
-], ids=["radial", "martingale-test", "inverse-check", "composed",
-        "inverse-check-kappa", "composed-kappa"])
+USAGE_ERRORS = {
+    "radial": ["radial", "--z0", "0,-1"],
+    "martingale-test": ["martingale-test", "--samples", "5"],
+    "inverse-check": ["inverse-check", "--steps", "0"],
+    "composed": ["composed", "--steps", "0"],
+    "inverse-check-kappa": ["inverse-check", "--kappa", "-1"],
+    "composed-kappa": ["composed", "--kappa", "-1"],
+    # an infinite horizon makes 4dt = inf, which freezes every sample at t=0,
+    # so the mean equals F0 exactly and the verdict would pass
+    "martingale-test-horizon-inf": ["martingale-test", "--samples", "200", "--steps", "5",
+                                    "--horizon", "inf"],
+    "trace-horizon-inf": ["trace", "--steps", "5", "--horizon", "inf"],
+    "martingale-test-kappa-inf": ["martingale-test", "--samples", "200", "--steps", "5",
+                                  "--kappa", "inf"],
+    "inverse-check-kappa-inf": ["inverse-check", "--samples", "2", "--steps", "5",
+                                "--kappa", "inf"],
+    "trace-kappa-inf": ["trace", "--steps", "5", "--kappa", "inf"],
+    # each of these divides by zero unless kappa is checked first
+    "exponents-kappa-0": ["exponents", "--kappa", "0"],
+    "cft-table-zero-denominator": ["cft-table", "--kappa", "2,1/0"],
+    "virasoro-check-zero-denominator": ["virasoro-check", "--kappa", "1/0"],
+    # a worker count must be at least 1: 0 does not mean all cores
+    "inverse-check-workers-0": ["inverse-check", "--samples", "2", "--steps", "5",
+                                "--workers", "0"],
+    "inverse-check-workers-negative": ["inverse-check", "--samples", "2", "--steps", "5",
+                                       "--workers", "-3"],
+    "trace-workers-0": ["trace", "--steps", "5", "--workers", "0"],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
 def test_usage_error_leaves_no_run_directory(argv, tmp_path, capsys):
     assert run(tmp_path, *argv) == 2
+    assert list(tmp_path.iterdir()) == []
+    assert len(capsys.readouterr().err.strip().split("\n")) == 1
+
+
+@pytest.mark.parametrize("payload", [[1], "abc", None], ids=["list", "string", "null"])
+def test_config_must_be_a_json_object(payload, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    assert run(tmp_path / "out", "cft-table", "--config", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().split("\n")) == 1 and "JSON object" in err
+    assert not (tmp_path / "out").exists()
+
+
+# One small config per subcommand, given by flags and by a --config file,
+# with its digest.  Run directories of earlier runs are found by this digest,
+# so it must not drift.  The manifest's config must hash to the pinned
+# digest, so it is pinned too (config-file values enter it verbatim, ints
+# stay ints).
+PINNED = [
+    ("simulate-forward", ["--kappa", "2", "--steps", "10"], {"seed": 9, "steps": 5},
+     "5cf4769cee3401d53d4644c77a2cecb9e42afbd588340af06aea31561d2b795e",
+     "edda639a5d4e675d25cc27a59416ba5c04b7151f8f185ed615f22131f31e06c9"),
+    ("simulate-backward", ["--kappa", "2", "--steps", "10"], {"seed": 9, "steps": 5},
+     "5cf4769cee3401d53d4644c77a2cecb9e42afbd588340af06aea31561d2b795e",
+     "edda639a5d4e675d25cc27a59416ba5c04b7151f8f185ed615f22131f31e06c9"),
+    ("trace", ["--steps", "10", "--seed", "3"], {"kappa": 4, "horizon": 0.5, "steps": 12},
+     "9182671a3a70dc5ffaded7878bb7e51593027720ce1f832c02c6b6c7de88cc60",
+     "9fb66b0bfeabe762225e29dbb9f71ad8a475729deff13f69426cdae5c61110b2"),
+    ("radial", ["--steps", "10", "--z0", "0.5,2"], {"z0": [1, 1], "steps": 8},
+     "faf15c4a974dbb576d07589bbe3ead5894cc5ed54f9513895a469cfed8185934",
+     "fa20a032a085c902ba1a60d5d86af018f4e542e43b9c2a51f953f676bbf86ac5"),
+    ("cft-table", ["--kappa", "2,8/3"], {"kappa": "6"},
+     "a48cc128b2008728afd33185d80daa3276be8b58809cca55869851d7257335f8",
+     "28e6631ee53c87eb0d1f0b563f51f2161583c9578e686f8e198bbc3d7d8d00bd"),
+    ("virasoro-check", ["--kappa", "3"], {"kappa": "2,4"},
+     "d1c894b8ef413fa016a7df45f42f77b4b43f1abe6f4ce414ce333d836223cfa8",
+     "5cd3fb79bca6550cf6e5412e8f999913e017c2227c8a3267596054803ea8fdf1"),
+    ("exponents", ["--kappa", "8/3"], {"kappa": 6, "h": 0.5},
+     "f580f8801be0a58c3cf4b8eac2254e332343d841f218bd3c2016e98abeb399cb",
+     "8beca848f0180898de06b5146fcb618ab30f7a5f2d6df3c20cceaed6c69ead01"),
+    ("martingale-test", ["--samples", "200", "--steps", "5", "--horizon", "0.01"],
+     {"samples": 100, "steps": 4, "workers": 2},
+     "bd0fc766cb06e297d94baf55539c42204a6a8aa58ae6f663caa5d2171a2f8242",
+     "5858cdb57fdbf70cee4fa8123e1ac8890d91c8e9f02fb5b6e25fd8b867c30270"),
+    ("inverse-check", ["--samples", "3", "--steps", "10"],
+     {"kappa": 2, "steps": 8, "samples": 2, "seed": 4},
+     "3dd212148fe2e3703788db4b44373a7227bf068a45f6cd7a10b832f28fa15052",
+     "d0d3a242e3a12b9196f57dbc4b9f4391d2ac674dacf38b4e2b9c06f8d0e9d093"),
+    ("composed", ["--samples", "3", "--steps", "10", "--shared-driving"],
+     {"horizon": 0.1, "steps": 6, "samples": 2, "shared-driving": True},
+     "b5927a53395620da77950299419decf8c7466cd78e195c7946d5665c764451e1",
+     "6a7f573f62fcbae606ada0cab220ba6aff2fabd5f1ce14f1bb0cf4034835687c"),
+]
+
+
+@pytest.mark.parametrize("source", ["flags", "config"])
+@pytest.mark.parametrize("sub,flags,file_cfg,flags_digest,config_digest", PINNED,
+                         ids=[case[0] for case in PINNED])
+def test_run_directory_and_digest_are_pinned(sub, flags, file_cfg, flags_digest,
+                                             config_digest, source, tmp_path, capsys):
+    argv, digest = [sub] + flags, flags_digest
+    if source == "config":
+        (tmp_path / "cfg.json").write_text(json.dumps(file_cfg))
+        argv, digest = [sub, "--config", str(tmp_path / "cfg.json")], config_digest
+    assert run(tmp_path / "out", *argv, "--workers", "1") == 0
+    d = only_run_dir(tmp_path / "out", sub + "-")
+    assert d.name == f"{sub}-{digest[:12]}"
+    manifest = json.loads((d / "manifest.json").read_text())
+    assert manifest["config_digest"] == digest
+    canonical = json.dumps(manifest["config"], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == digest
+
+
+# The config keys of each subcommand; each is a flag of the same name.
+KEYS = {
+    "simulate-forward": "kappa seed steps horizon",
+    "simulate-backward": "kappa seed steps horizon",
+    "trace": "kappa seed steps horizon",
+    "radial": "kappa seed steps horizon z0",
+    "cft-table": "kappa",
+    "virasoro-check": "kappa",
+    "exponents": "kappa h",
+    "martingale-test": "kappa horizon steps samples seed y exponent-a exponent-b eps-stop",
+    "inverse-check": "kappa horizon steps samples seed",
+    "composed": "kappa horizon steps samples seed shared-driving",
+}
+
+
+def test_each_subcommand_has_its_table_keys_as_flags():
+    subparsers = next(a for a in revsle.cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert list(subparsers.choices) == list(KEYS) == list(revsle.cli._COMMANDS)
+    for name, sp in subparsers.choices.items():
+        flags = {s for a in sp._actions for s in a.option_strings} - {"-h", "--help"}
+        expected = {"--" + key for key in KEYS[name].split()}
+        assert flags == expected | {"--config", "--out", "--workers"}, name
+        assert list(revsle.cli._COMMANDS[name][1]) == KEYS[name].split()
+
+
+def test_seed_flag_only_where_there_is_a_seed(tmp_path, capsys):
+    # the algebra subcommands draw no samples, so a seed would be ignored
+    assert run(tmp_path, "cft-table", "--seed", "3") == 2
     assert list(tmp_path.iterdir()) == []
 
 

@@ -11,7 +11,7 @@ from revsle.driving import TimeGrid, explicit_path, reverse_driving, sample_brow
 from revsle.loewner import (BranchViolationError, LoewnerEvolution,
                             SwallowedPointError,
                             apply_derivative, apply_map,
-                            compose_forward_backward, evolve_backward,
+                            evolve_backward,
                             evolve_forward, evolve_wholeplane, invert_map,
                             slit_sqrt_vec, swallowed, trace)
 
@@ -504,14 +504,14 @@ def test_radial_rejects_lower_half_plane_start():
 
 # --- composed backward-after-forward flow --------------------------------------
 
+def compose(path1, path2, z):
+    """backward(path1) o forward(path2), as in montecarlo.run_composed_stats."""
+    return apply_map(evolve_backward(path1), apply_map(evolve_forward(path2), z))
+
+
 def test_compose_zero_driving_returns_input():
     p = zero_path(0.25, 1)
-    assert compose_forward_backward(p, p, 2j) == pytest.approx(2j, abs=1e-12)
-
-
-def test_compose_zero_steps_is_identity():
-    p = zero_path(0.25, 4)
-    assert compose_forward_backward(p, p, 1 + 1j, up_to=0) == 1 + 1j
+    assert compose(p, p, 2j) == pytest.approx(2j, abs=1e-12)
 
 
 def test_compose_sampled_stays_in_upper_half_plane():
@@ -520,14 +520,7 @@ def test_compose_sampled_stays_in_upper_half_plane():
     p2 = sample_brownian(g, 4.0, 2)
     for z in [1j, 1 + 1j, -0.5 + 2j]:
         try:
-            w = compose_forward_backward(p1, p2, z)
+            w = compose(p1, p2, z)
         except SwallowedPointError:
             continue
         assert w.imag >= 0.0
-
-
-def test_compose_requires_matching_grids():
-    p1 = zero_path(0.25, 4)
-    p2 = zero_path(0.25, 5)
-    with pytest.raises(ValueError):
-        compose_forward_backward(p1, p2, 1j)

@@ -26,6 +26,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         McConfig(kappa=4.0, horizon=0.05, n_steps=10, n_samples=50,
                  master_seed=0, observable=DRIFT_FREE)
+    for kappa, horizon, n_steps in ((math.inf, 0.05, 10), (4.0, math.inf, 10),
+                                    (4.0, 0.0, 10), (4.0, 0.05, 0)):
+        with pytest.raises(ValueError):
+            McConfig(kappa=kappa, horizon=horizon, n_steps=n_steps, n_samples=100,
+                     master_seed=0, observable=DRIFT_FREE)
     with pytest.raises(ValueError):
         McConfig(kappa=4.0, horizon=0.05, n_steps=10, n_samples=100,
                  master_seed=0, observable=DRIFT_FREE,

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from revsle.driving import TimeGrid, explicit_path, sample_brownian
-from revsle.loewner import evolve_backward, evolve_forward
+from revsle.loewner import apply_derivative, apply_map, evolve_backward, evolve_forward
 from revsle.observables import (ObservableSpec,
                                 PointsTooCloseError, audit_one_point_exponents,
                                 bpz_generator, bpz_operator_level2,
-                                covariant_field, drift_residual,
-                                eval_one_point, one_point_exponents)
+                                drift_residual, eval_one_point,
+                                one_point_exponents)
 
 
 def zero_path(horizon, n, kappa=4.0):
@@ -21,28 +21,15 @@ def one_point_spec(y, h, exponents=None):
                           exponents=exponents or (h, 0.0))
 
 
-# --- covariant transport ------------------------------------------------------
-
-def test_covariant_weight_zero_is_one():
-    evo = evolve_forward(sample_brownian(TimeGrid(0.3, 60), 2.0, 4))
-    f = covariant_field(evo, 1 + 2j, 0.0)
-    assert f.factor == 1.0
-
-
-def test_covariant_identity_evolution():
-    evo = evolve_forward(zero_path(1.0, 5))
-    f = covariant_field(evo, 1.5 + 0.5j, 2.0, up_to=0)
-    assert f.factor == 1.0
-    assert f.image == 1.5 + 0.5j
-
+# --- covariant transport: a weight-h primary picks up (g'(z))^h at g(z) --------
 
 def test_covariant_backward_real_point_squared():
     # zero driving, t = 1/4: g(3) = sqrt(8), g'(3) = 3/sqrt(8), (g')^2 = 9/8
     evo = evolve_backward(zero_path(0.25, 1))
-    f = covariant_field(evo, 3.0, 2.0)
-    assert f.factor.real == pytest.approx(9.0 / 8.0, abs=1e-12)
-    assert f.factor.imag == 0.0
-    assert f.image == pytest.approx(math.sqrt(8.0), abs=1e-12)
+    d = apply_derivative(evo, 3.0)
+    assert d.imag == 0.0
+    assert d.real ** 2 == pytest.approx(9.0 / 8.0, abs=1e-12)
+    assert apply_map(evo, 3.0) == pytest.approx(math.sqrt(8.0), abs=1e-12)
 
 
 def test_covariant_composition_chain_rule():
@@ -54,11 +41,16 @@ def test_covariant_composition_chain_rule():
     second = explicit_path(TimeGrid(0.2, 40), 2.0, vals[40:])
     h = 1.7
     z = 0.5 + 1.2j
-    full = covariant_field(evolve_forward(path), z, h)
-    f1 = covariant_field(evolve_forward(first), z, h)
-    f2 = covariant_field(evolve_forward(second), f1.image, h)
-    assert abs(full.factor - f1.factor * f2.factor) < 1e-9
-    assert abs(full.image - f2.image) < 1e-12
+
+    def transport(p, w):
+        evo = evolve_forward(p)
+        return apply_derivative(evo, w) ** h, apply_map(evo, w)
+
+    full, image = transport(path, z)
+    f1, image1 = transport(first, z)
+    f2, image2 = transport(second, image1)
+    assert abs(full - f1 * f2) < 1e-9
+    assert abs(image - image2) < 1e-12
 
 
 # --- drift generator ------------------------------------------------------------
