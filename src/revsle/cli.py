@@ -40,9 +40,10 @@ from .virasoro import null_vector_12, null_vector_21, w_eigenvalue
 
 _ENV_OUT = "REVSLE_OUT"
 
-# Subcommands that run on worker threads.  Their digested config carries
-# "workers": null, because the worker count never changes the data.
-_THREADED = ("martingale-test", "inverse-check", "composed")
+# Subcommands that spread their ensemble over worker processes.  Their
+# digested config carries "workers": null, because the worker count never
+# changes the data.
+_POOLED = ("martingale-test", "inverse-check", "composed")
 
 
 class _Key(NamedTuple):
@@ -252,7 +253,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", type=str, default=None,
                         help=f"output root (default ${_ENV_OUT} or ./runs)")
         sp.add_argument("--workers", type=int, default=None,
-                        help=f"worker threads, >= 1; only {', '.join(_THREADED)} use them")
+                        help=f"worker processes, >= 1, at most one per core; "
+                             f"only {', '.join(_POOLED)} use them")
         for key, spec in keys.items():
             kind = {"action": "store_true"} if spec.type is bool else {"type": spec.type}
             sp.add_argument("--" + key, default=None, help=spec.help, **kind)
@@ -271,8 +273,8 @@ def _merged(args, keys: dict[str, _Key]) -> tuple[dict, int]:
         if not isinstance(file_cfg, dict):
             raise SystemExit(f"config {args.config} must hold a JSON object, "
                              f"got {type(file_cfg).__name__}")
-    threaded = args.subcommand in _THREADED
-    unknown = set(file_cfg) - set(keys) - ({"workers"} if threaded else set())
+    pooled = args.subcommand in _POOLED
+    unknown = set(file_cfg) - set(keys) - ({"workers"} if pooled else set())
     if unknown:
         raise SystemExit(f"unknown config keys: {', '.join(sorted(unknown))}")
     cfg = {}
@@ -282,7 +284,7 @@ def _merged(args, keys: dict[str, _Key]) -> tuple[dict, int]:
     workers = args.workers if args.workers is not None else file_cfg.get("workers")
     if workers is not None and int(workers) < 1:
         raise SystemExit(f"workers must be >= 1, got {workers}")
-    if not threaded:
+    if not pooled:
         return cfg, 1
     cfg["workers"] = None
     return cfg, int(workers) if workers is not None else os.cpu_count() or 1

@@ -264,8 +264,8 @@ def evolve_wholeplane(path: DrivingPath, z0: complex = 1j) -> RadialEvolution:
     driving to 0, take the slit step, rotate back.  The principal root puts
     the image in the closed upper half-plane."""
     z0 = complex(z0)
-    if not z0.imag > 0.0:
-        raise ValueError(f"initial point {z0} must be in the open upper half-plane")
+    if not (math.isfinite(z0.real) and math.isfinite(z0.imag) and z0.imag > 0.0):
+        raise ValueError(f"initial point {z0} must be finite, in the open upper half-plane")
     p, q = -math.expm1(-path.grid.dt), math.exp(-path.grid.dt)
     xi = path.values[:-1]
     g = z0

@@ -1,10 +1,16 @@
 """Ensemble engine for martingale and consistency checks of the flows.
 
 Samples are keyed by (master_seed + index) through the counter-based driving
-generator, split into fixed-size batches, and reduced with math.fsum in
-batch order.  The batch layout never depends on the worker count, so a run
-is bitwise reproducible for any parallelism (workers only change which
-thread evaluates a batch, not what it computes).
+generator and split into fixed-size batches.  A batch task returns
+per-sample arrays; the calling process reduces each batch with math.fsum
+and counts, in batch order.  The batch is the unit of reduction and its
+layout never depends on the worker count, so a run is bitwise reproducible
+for any parallelism.
+
+Workers are processes forked for one engine call.  When there are fewer
+batches than workers, each batch is cut into near-equal sub-spans whose
+arrays are joined back before the reduction; a sample's values do not
+depend on which span computed them.
 
 Driving blocks are step-major, shape (n_steps+1, batch), so each step of a
 flow loop reads one contiguous row.
@@ -22,7 +28,10 @@ from __future__ import annotations
 import csv
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import os
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -67,6 +76,9 @@ class McConfig:
             raise ValueError("kappa must be positive and finite")
         if self.n_samples < 100:
             raise ValueError("need n_samples >= 100")
+        # a NaN threshold freezes every sample at t=0, which passes silently
+        if not 0.0 <= self.eps_stop < math.inf:
+            raise ValueError(f"eps_stop must be finite and >= 0, got {self.eps_stop}")
         TimeGrid(self.horizon, self.n_steps)   # checks horizon and n_steps
         self.checkpoint_indices()   # checkpoints must sit on the grid
 
@@ -151,12 +163,47 @@ def _batches(n: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + BATCH_SIZE, n)) for lo in range(0, n, BATCH_SIZE)]
 
 
-def _run_batched(task: Callable, n_samples: int, workers: int) -> list:
-    spans = _batches(n_samples)
-    if workers <= 1:
-        return [task(lo, hi) for lo, hi in spans]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(lambda s: task(*s), spans))
+def _sub_spans(lo: int, hi: int, k: int) -> list[tuple[int, int]]:
+    """lo..hi cut into at most k near-equal non-empty spans."""
+    cuts = [lo + (hi - lo) * j // k for j in range(k + 1)]
+    return [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+
+
+_task: Optional[Callable] = None   # the engine's batch task, in a forked worker
+
+
+def _set_task(task: Callable) -> None:
+    global _task
+    _task = task
+
+
+def _run_task(span: tuple[int, int]) -> tuple:
+    return _task(*span)
+
+
+def _run_batched(task: Callable, n_samples: int, workers: int) -> list[tuple]:
+    """Per batch, in batch order, the tuple of per-sample arrays (samples on
+    axis 0) that task(lo, hi) returns for it.
+
+    With more than one worker, the spans go to a pool of forked processes
+    that lives for this call only.  Under fork the task reaches the children
+    through the initializer without pickling; only (lo, hi) pairs and the
+    result arrays cross.  The work stays inline for one worker, one span or
+    one core, where fork is unavailable, and in a process with other
+    threads, whose locks a forked child could inherit held."""
+    workers = min(workers, os.cpu_count() or 1)   # more would only queue spans
+    batches = _batches(n_samples)
+    units = [_sub_spans(lo, hi, -(-workers // len(batches))) for lo, hi in batches]
+    spans = [s for unit in units for s in unit]
+    procs = min(workers, len(spans))
+    if (procs <= 1 or "fork" not in multiprocessing.get_all_start_methods()
+            or threading.active_count() > 1):
+        return [task(lo, hi) for lo, hi in batches]
+    with ProcessPoolExecutor(procs, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_set_task, initargs=(task,)) as ex:
+        results = ex.map(_run_task, spans)
+        per_unit = [[next(results) for _ in unit] for unit in units]
+    return [tuple(np.concatenate(arrays) for arrays in zip(*parts)) for parts in per_unit]
 
 
 def _xi_block(master_seed: int, lo: int, hi: int, kappa: float,
@@ -194,6 +241,7 @@ def run_martingale_test(config: McConfig, workers: int = 1) -> McReport:
     """
     obs = config.observable
     check_idx = config.checkpoint_indices()
+    column = {k: j for j, k in enumerate(check_idx)}
     dt = config.horizon / config.n_steps
     four_dt = 4.0 * dt
     one_point = obs.form == "one_point_power"
@@ -215,8 +263,8 @@ def run_martingale_test(config: McConfig, workers: int = 1) -> McReport:
         log_gp = np.zeros(m)
         alive = np.ones(m, dtype=bool)
         frozen = np.full(m, float(f0))
-        stats = []
-        pending = list(check_idx)
+        frozen_at = np.empty((m, len(check_idx)))
+        alive_at = np.empty((m, len(check_idx)), dtype=bool)
         for k in range(config.n_steps + 1):
             x = w - xi[k]
             # below eps_stop the sample froze at its previous value; above it
@@ -231,24 +279,26 @@ def run_martingale_test(config: McConfig, workers: int = 1) -> McReport:
             frozen = np.where(above, vals, frozen)
             x2 = x * x
             alive = above & (x2 > four_dt)
-            if pending and k == pending[0]:
-                pending.pop(0)
-                stats.append((math.fsum(frozen), math.fsum(frozen * frozen),
-                              int(alive.sum())))
+            if k in column:
+                frozen_at[:, column[k]] = frozen
+                alive_at[:, column[k]] = alive
             if k < config.n_steps:
                 root = np.sqrt(np.where(alive, x2 - four_dt, 1.0))
                 w = np.where(alive, xi[k] + root, w)
                 log_gp = np.where(alive, log_gp + log_x - np.log(root), log_gp)
-        return stats
+        return frozen_at, alive_at
 
-    parts = _run_batched(batch, config.n_samples, workers)
+    # per batch and checkpoint: sum, sum of squares and alive count
+    stats = [[(math.fsum(f), math.fsum(f * f), int(np.count_nonzero(live)))
+              for f, live in zip(frozen_at.T, alive_at.T)]
+             for frozen_at, alive_at in _run_batched(batch, config.n_samples, workers)]
     n = config.n_samples
     rows = []
     all_ok = True
     for i, k in enumerate(check_idx):
-        total = math.fsum(p[i][0] for p in parts)
-        total_sq = math.fsum(p[i][1] for p in parts)
-        n_alive = sum(p[i][2] for p in parts)
+        total = math.fsum(p[i][0] for p in stats)
+        total_sq = math.fsum(p[i][1] for p in stats)
+        n_alive = sum(p[i][2] for p in stats)
         mean = total / n
         var = max((total_sq - n * mean * mean) / (n - 1), 0.0)
         stderr = math.sqrt(var / n)
@@ -325,10 +375,10 @@ def run_inverse_consistency(kappa: float, horizon: float, n_steps: int,
             x = xi[k][:, None]
             v = w - x
             w = x + slit_sqrt_vec(v * v + four_dt, v.real)
-        return np.max(np.abs(w - pts), axis=1)
+        return (np.max(np.abs(w - pts), axis=1),)
 
     parts = _run_batched(batch, n_samples, workers)
-    sample_errors = tuple(float(e) for p in parts for e in p)
+    sample_errors = tuple(float(e) for (errors,) in parts for e in errors)
     max_error = float(np.max(sample_errors))   # NaN-propagating, unlike max()
     mean_error = math.fsum(sample_errors) / n_samples
     bound = bound_constant * math.sqrt(horizon / n_steps)
@@ -410,6 +460,9 @@ def run_composed_stats(kappa: float, horizon: float, n_steps: int, n_samples: in
             v = w - x
             step = x + slit_sqrt_vec(v * v - four_dt, v.real)
             w = np.where(alive, step, w)
+        return w, alive
+
+    def batch_stats(w, alive):
         im = w.imag[alive]
         re = w.real[alive]
         # a non-finite image is a violation: it is not known to lie in H
@@ -417,7 +470,7 @@ def run_composed_stats(kappa: float, horizon: float, n_steps: int, n_samples: in
         return (int(alive.sum()), int(np.count_nonzero(bad)),
                 math.fsum(re), math.fsum(im), math.fsum(im * im))
 
-    parts = _run_batched(batch, n_samples, workers)
+    parts = [batch_stats(*p) for p in _run_batched(batch, n_samples, workers)]
     n_alive = sum(p[0] for p in parts)
     violations = sum(p[1] for p in parts)
     total = n_samples * pts.size

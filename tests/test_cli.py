@@ -219,6 +219,8 @@ def test_radial_z0_needs_two_values(source, tmp_path, capsys):
 
 USAGE_ERRORS = {
     "radial": ["radial", "--z0", "0,-1"],
+    # NaN fails no comparison with 0, so the start point is also checked finite
+    "radial-z0-nan": ["radial", "--z0", "nan,1"],
     "martingale-test": ["martingale-test", "--samples", "5"],
     "inverse-check": ["inverse-check", "--steps", "0"],
     "composed": ["composed", "--steps", "0"],
@@ -229,6 +231,12 @@ USAGE_ERRORS = {
     "martingale-test-horizon-inf": ["martingale-test", "--samples", "200", "--steps", "5",
                                     "--horizon", "inf"],
     "trace-horizon-inf": ["trace", "--steps", "5", "--horizon", "inf"],
+    # a NaN threshold freezes every sample at t=0 (a silent pass); a negative
+    # one lets samples step past the seed into NaN means
+    "martingale-test-eps-stop-nan": ["martingale-test", "--samples", "2000", "--steps", "50",
+                                     "--eps-stop", "nan"],
+    "martingale-test-eps-stop-negative": ["martingale-test", "--samples", "2000",
+                                          "--steps", "50", "--eps-stop", "-1"],
     "martingale-test-kappa-inf": ["martingale-test", "--samples", "200", "--steps", "5",
                                   "--kappa", "inf"],
     "inverse-check-kappa-inf": ["inverse-check", "--samples", "2", "--steps", "5",

@@ -502,6 +502,14 @@ def test_radial_rejects_lower_half_plane_start():
         evolve_wholeplane(zero_path(1.0, 5), z0=-1j)
 
 
+@pytest.mark.parametrize("z0", [complex(math.nan, 1.0), complex(1.0, math.nan),
+                                complex(math.inf, 1.0), complex(0.0, math.inf)],
+                         ids=["nan-re", "nan-im", "inf-re", "inf-im"])
+def test_radial_rejects_nonfinite_start(z0):
+    with pytest.raises(ValueError):
+        evolve_wholeplane(zero_path(1.0, 5), z0=z0)
+
+
 # --- composed backward-after-forward flow --------------------------------------
 
 def compose(path1, path2, z):

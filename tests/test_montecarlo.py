@@ -1,13 +1,17 @@
+import json
 import math
 import multiprocessing
+import os
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from revsle.driving import TimeGrid, sample_brownian
-from revsle.montecarlo import (McConfig, _xi_block, run_composed_stats,
-                               run_inverse_consistency, run_martingale_test)
+from revsle.montecarlo import (BATCH_SIZE, McConfig, _run_batched, _xi_block,
+                               run_composed_stats, run_inverse_consistency,
+                               run_martingale_test)
 from revsle.observables import ObservableSpec
 
 
@@ -35,6 +39,12 @@ def test_config_validation():
         McConfig(kappa=4.0, horizon=0.05, n_steps=10, n_samples=100,
                  master_seed=0, observable=DRIFT_FREE,
                  checkpoints=(0.013,))   # not a grid time
+    for eps_stop in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError):
+            McConfig(kappa=4.0, horizon=0.05, n_steps=10, n_samples=100,
+                     master_seed=0, observable=DRIFT_FREE, eps_stop=eps_stop)
+    McConfig(kappa=4.0, horizon=0.05, n_steps=10, n_samples=100,
+             master_seed=0, observable=DRIFT_FREE, eps_stop=0.0)   # no stopping band
 
 
 def test_default_checkpoints_end_at_horizon():
@@ -66,7 +76,8 @@ def test_xi_block_composed_layout():
         assert np.array_equal(xi[:, 1::2][:, j], bwd)
 
 
-# 4100 samples make two batches, so four workers start more than one thread
+# 4100 samples make two batches, so four workers (capped at the core count)
+# fork a pool of worker processes wherever there are two cores
 @pytest.mark.parametrize("engine", [
     lambda: run_martingale_test(McConfig(kappa=4.0, horizon=0.05, n_steps=3, n_samples=4100,
                                          master_seed=1, observable=DRIFT_FREE), workers=4),
@@ -78,6 +89,88 @@ def test_engine_leaves_no_thread_or_process(engine):
     engine()
     assert threading.active_count() == before
     assert multiprocessing.active_children() == []
+
+
+can_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods() or (os.cpu_count() or 1) < 2,
+    reason="the worker pool needs fork and two cores")
+
+
+def pid_task(lo, hi):
+    time.sleep(0.05)   # long enough that each worker process takes a span
+    return np.arange(lo, hi), np.full(hi - lo, os.getpid())
+
+
+@can_fork
+@pytest.mark.parametrize("n", [1, 3, 1000, 4097, 9000])
+def test_run_batched_forks_and_keeps_batch_order(n):
+    inline = _run_batched(pid_task, n, 1)
+    pooled = _run_batched(pid_task, n, 2)
+    assert len(pooled) == len(inline) == -(-n // BATCH_SIZE)
+    for (idx, _), (idx_inline, pids_inline) in zip(pooled, inline):
+        assert np.array_equal(idx, idx_inline)
+        assert set(pids_inline) == {os.getpid()}
+    pids = set(np.concatenate([p for _, p in pooled]).tolist())
+    if n == 1:
+        assert pids == {os.getpid()}   # one span: nothing to share, run inline
+    else:
+        # one batch is cut into two spans, so even n = 3 runs in two children
+        assert os.getpid() not in pids and len(pids) == 2
+
+
+@pytest.mark.parametrize("patch", ["no-fork", "one-core", "other-thread"])
+def test_run_batched_stays_inline_where_it_cannot_fork_safely(patch, monkeypatch):
+    if patch == "no-fork":
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    elif patch == "one-core":
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    if patch == "other-thread":
+        other.start()
+    try:
+        parts = _run_batched(pid_task, 5000, 4)
+    finally:
+        release.set()
+        if other.is_alive():
+            other.join(60)
+    assert not other.is_alive()
+    assert [p[0][0] for p in parts] == [0, BATCH_SIZE]
+    assert set(np.concatenate([p[1] for p in parts]).tolist()) == {os.getpid()}
+
+
+def failing_task(lo, hi):
+    if lo > 0:
+        raise ZeroDivisionError(f"span {lo}..{hi}")
+    return (np.zeros(hi - lo),)
+
+
+@can_fork
+@pytest.mark.parametrize("n", [1000, 9000], ids=["split", "batches"])
+def test_run_batched_reraises_and_leaves_nothing_running(n):
+    before = threading.active_count()
+    with pytest.raises(ZeroDivisionError):
+        _run_batched(failing_task, n, 2)
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == before
+
+
+# 1000 samples are one batch, cut into spans; 9000 end in a ragged batch
+@pytest.mark.parametrize("n", [1000, 9000])
+@pytest.mark.parametrize("engine", [
+    lambda n, w: run_martingale_test(McConfig(kappa=4.0, horizon=0.05, n_steps=4, n_samples=n,
+                                              master_seed=4, observable=DRIFT_FREE), workers=w),
+    lambda n, w: run_inverse_consistency(4.0, 0.5, 4, n, master_seed=4, workers=w),
+    lambda n, w: run_composed_stats(4.0, 0.25, 4, n, master_seed=4, workers=w),
+    lambda n, w: run_composed_stats(4.0, 0.25, 4, n, shared_driving=True, master_seed=4,
+                                    workers=w),
+], ids=["martingale", "inverse", "composed", "composed-shared"])
+def test_engine_bytes_identical_across_worker_counts(engine, n):
+    reports = [engine(n, w) for w in (1, 2, 3)]
+    payloads = {json.dumps(r.to_json(), sort_keys=True) for r in reports}
+    assert len(payloads) == 1
+    if hasattr(reports[0], "csv_bytes"):
+        assert len({r.csv_bytes() for r in reports}) == 1
 
 
 def test_constant_observable_mean_is_exactly_one():
