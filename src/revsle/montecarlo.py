@@ -15,12 +15,8 @@ depend on which span computed them.
 Driving blocks are step-major, shape (n_steps+1, batch), so each step of a
 flow loop reads one contiguous row.
 
-The martingale test evolves a boundary point under the backward flow in
-log space and applies optional stopping: a sample freezes at the last step
-where X = g(y) - xi both exceeds eps_stop and can take another real step
-(X^2 > 4 dt; the discrete scheme would otherwise leave the real axis).
-Frozen samples keep contributing their stopped value, so the ensemble mean
-of a drift-free observable stays at its t=0 value.
+The martingale test runs the one-point walk of ``observables`` on each
+batch's driving block; that module states the stopping rule.
 """
 
 from __future__ import annotations
@@ -33,13 +29,13 @@ import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from .driving import TimeGrid, raw_normals
 from .loewner import slit_sqrt_vec, swallowed
-from .observables import ObservableSpec
+from .observables import ObservableSpec, _check_one_point, _one_point_walk
 
 __all__ = [
     "BATCH_SIZE",
@@ -59,8 +55,8 @@ Z_THRESHOLD = 3.0   # per-checkpoint |z| limit for the verdict
 
 @dataclass(frozen=True)
 class McConfig:
-    """Martingale-test configuration.  ``checkpoints`` must lie on the grid;
-    unset, five evenly spaced times up to the horizon are used."""
+    """Martingale-test configuration: one point with an (a, b) pair, checked
+    at five evenly spaced grid times up to the horizon."""
 
     kappa: float
     horizon: float
@@ -68,7 +64,6 @@ class McConfig:
     n_samples: int
     master_seed: int
     observable: ObservableSpec
-    checkpoints: Optional[tuple[float, ...]] = None
     eps_stop: float = 1e-3
 
     def __post_init__(self):
@@ -76,33 +71,18 @@ class McConfig:
             raise ValueError("kappa must be positive and finite")
         if self.n_samples < 100:
             raise ValueError("need n_samples >= 100")
-        # a NaN threshold freezes every sample at t=0, which passes silently
-        if not 0.0 <= self.eps_stop < math.inf:
-            raise ValueError(f"eps_stop must be finite and >= 0, got {self.eps_stop}")
+        obs = self.observable
+        if len(obs.points) != 1 or obs.exponents is None:
+            raise ValueError("the martingale test takes one point plus an (a, b) pair")
+        _check_one_point(obs.points[0], *obs.exponents, self.eps_stop)
         TimeGrid(self.horizon, self.n_steps)   # checks horizon and n_steps
-        self.checkpoint_indices()   # checkpoints must sit on the grid
-
-    @property
-    def grid(self) -> TimeGrid:
-        return TimeGrid(self.horizon, self.n_steps)
 
     def checkpoint_indices(self) -> list[int]:
-        dt = self.horizon / self.n_steps
-        if self.checkpoints is None:
-            stride = max(1, self.n_steps // 5)
-            idx = list(range(stride, self.n_steps + 1, stride))[:5]
-            if idx[-1] != self.n_steps:
-                idx.append(self.n_steps)
-            return idx
-        out = []
-        for t in self.checkpoints:
-            k = round(t / dt)
-            if not 0 <= k <= self.n_steps or abs(k * dt - t) > 1e-9 * max(1.0, self.horizon):
-                raise ValueError(f"checkpoint {t} is not a grid time")
-            out.append(k)
-        if sorted(set(out)) != out:
-            raise ValueError("checkpoints must be strictly increasing grid times")
-        return out
+        stride = max(1, self.n_steps // 5)
+        idx = list(range(stride, self.n_steps + 1, stride))[:5]
+        if idx[-1] != self.n_steps:
+            idx.append(self.n_steps)
+        return idx
 
 
 @dataclass(frozen=True)
@@ -239,54 +219,15 @@ def run_martingale_test(config: McConfig, workers: int = 1) -> McReport:
     all samples (stopped samples contribute their frozen value).  Verdict is
     True when every |z| <= 3.
     """
-    obs = config.observable
+    y = config.observable.points[0]
+    a, b = config.observable.exponents
     check_idx = config.checkpoint_indices()
-    column = {k: j for j, k in enumerate(check_idx)}
     dt = config.horizon / config.n_steps
-    four_dt = 4.0 * dt
-    one_point = obs.form == "one_point_power"
-    if one_point:
-        y = obs.points[0]
-        a, b = obs.exponents
-        if y <= config.eps_stop:
-            raise ValueError("one-point test expects the point right of the seed, "
-                             "outside the stopping band")
-        f0 = y ** b
-    else:
-        y = obs.points[0]
-        f0 = float(obs.func(np.array([1.0]), np.array([y]), np.array([0.0]))[0])
+    f0 = y ** b
 
     def batch(lo: int, hi: int):
         xi = _xi_block(config.master_seed, lo, hi, config.kappa, dt, config.n_steps)
-        m = hi - lo
-        w = np.full(m, float(y))
-        log_gp = np.zeros(m)
-        alive = np.ones(m, dtype=bool)
-        frozen = np.full(m, float(f0))
-        frozen_at = np.empty((m, len(check_idx)))
-        alive_at = np.empty((m, len(check_idx)), dtype=bool)
-        for k in range(config.n_steps + 1):
-            x = w - xi[k]
-            # below eps_stop the sample froze at its previous value; above it
-            # the state is evaluable even when no further real step exists
-            above = alive & (x > config.eps_stop)
-            xs = np.where(above, x, 1.0)
-            log_x = np.log(xs)
-            if one_point:
-                vals = np.exp(a * log_gp + b * log_x)
-            else:
-                vals = obs.func(np.exp(log_gp), w, xi[k])
-            frozen = np.where(above, vals, frozen)
-            x2 = x * x
-            alive = above & (x2 > four_dt)
-            if k in column:
-                frozen_at[:, column[k]] = frozen
-                alive_at[:, column[k]] = alive
-            if k < config.n_steps:
-                root = np.sqrt(np.where(alive, x2 - four_dt, 1.0))
-                w = np.where(alive, xi[k] + root, w)
-                log_gp = np.where(alive, log_gp + log_x - np.log(root), log_gp)
-        return frozen_at, alive_at
+        return _one_point_walk(xi, 4.0 * dt, y, a, b, config.eps_stop, check_idx)
 
     # per batch and checkpoint: sum, sum of squares and alive count
     stats = [[(math.fsum(f), math.fsum(f * f), int(np.count_nonzero(live)))
@@ -348,19 +289,17 @@ class InverseConsistencyReport:
                           ([i, repr(e)] for i, e in enumerate(self.sample_errors)))
 
 
-_DEFAULT_TEST_POINTS = (1j, 1.0 + 1.0j, -1.0 + 2.0j)
+_DEFAULT_TEST_POINTS = (1j, 1.0 + 1.0j, -1.0 + 2.0j)   # each with Im z >= 1
+_BOUND_CONSTANT = 10.0
 
 
 def run_inverse_consistency(kappa: float, horizon: float, n_steps: int,
-                            n_samples: int, test_points: Sequence[complex] = _DEFAULT_TEST_POINTS,
-                            master_seed: int = 0, workers: int = 1,
-                            bound_constant: float = 10.0) -> InverseConsistencyReport:
+                            n_samples: int, master_seed: int = 0,
+                            workers: int = 1) -> InverseConsistencyReport:
     """Checks that the backward flow driven by the reversed path inverts the
     forward map: for each sample, max_z |g_T(backward(z)) - z| over the test
-    points.  Passes when the ensemble max stays below C sqrt(T/n)."""
-    pts = np.array([complex(z) for z in test_points])
-    if np.any(pts.imag < 1.0):
-        raise ValueError("test points must have Im z >= 1")
+    points.  Passes when the ensemble max stays below C sqrt(T/n), C = 10."""
+    pts = np.array(_DEFAULT_TEST_POINTS)
     dt = _ensemble_dt(kappa, horizon, n_steps, n_samples)
     four_dt = 4.0 * dt
 
@@ -381,7 +320,7 @@ def run_inverse_consistency(kappa: float, horizon: float, n_steps: int,
     sample_errors = tuple(float(e) for (errors,) in parts for e in errors)
     max_error = float(np.max(sample_errors))   # NaN-propagating, unlike max()
     mean_error = math.fsum(sample_errors) / n_samples
-    bound = bound_constant * math.sqrt(horizon / n_steps)
+    bound = _BOUND_CONSTANT * math.sqrt(horizon / n_steps)
     return InverseConsistencyReport(kappa, horizon, n_steps, n_samples,
                                     master_seed, tuple(complex(z) for z in pts),
                                     max_error, mean_error, bound,
@@ -424,16 +363,13 @@ _DEFAULT_Z_GRID = tuple(x + 1j * v for v in (0.5, 1.0, 2.0) for x in (-1.5, -0.5
 
 
 def run_composed_stats(kappa: float, horizon: float, n_steps: int, n_samples: int,
-                       z_grid: Sequence[complex] = _DEFAULT_Z_GRID,
                        shared_driving: bool = False, master_seed: int = 0,
                        workers: int = 1) -> ComposedReport:
-    """Simulate backward(path1) o forward(path2) on a point grid; the two
-    drivings are independent unless shared_driving reuses one path.  Reports
-    survival through the forward leg and half-plane containment (violations
-    should be zero)."""
-    pts = np.array([complex(z) for z in z_grid])
-    if np.any(pts.imag <= 0.0):
-        raise ValueError("grid points must be in the open upper half-plane")
+    """Simulate backward(path1) o forward(path2) on a point grid in the upper
+    half-plane; the two drivings are independent unless shared_driving reuses
+    one path.  Reports survival through the forward leg and half-plane
+    containment (violations should be zero)."""
+    pts = np.array(_DEFAULT_Z_GRID)
     dt = _ensemble_dt(kappa, horizon, n_steps, n_samples)
     four_dt = 4.0 * dt
 

@@ -24,15 +24,24 @@ which is twice the level-2 degenerate differential operator
 
 once b^2 = kappa/4.  Both operator forms are implemented (finite
 differences) so the algebraic identity can be checked numerically.
+
+The one-point walk evolves y under the backward flow in log space with
+optional stopping: a sample freezes at the last step where X = g(y) - xi
+both exceeds eps_stop and can take another real step (X^2 > 4 dt; the
+discrete scheme would otherwise leave the real axis).  Frozen samples keep
+contributing their stopped value, so the ensemble mean of a drift-free
+observable stays at its t=0 value.  The martingale engine runs the walk on
+a block of drivings; :func:`eval_one_point` is its single-sample case.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional, Sequence
 
-from .cft import KacLabel
+import numpy as np
+
 # apply_map and apply_derivative are not called here: perfbench's tracer test
 # pins these two bindings in this module.
 from .loewner import LoewnerEvolution, apply_derivative, apply_map  # noqa: F401
@@ -66,20 +75,14 @@ class PointsTooCloseError(Exception):
 
 @dataclass(frozen=True)
 class ObservableSpec:
-    """Boundary observable: points y_a with weights h_a, plus the label of
-    the boundary-condition-changing insertion (default (1,2)).
-
-    ``one_point_power`` means a single point carrying the exponent pair
-    (a, b) for (g')^a * (g(y)-xi)^b; ``generic_callable`` supplies
-    ``func(g_prime, g_value, xi) -> value`` operating on arrays.
+    """Boundary observable: points y_a with weights h_a.  ``exponents`` is
+    the pair (a, b) of the one-point product (g'(y))^a * (g(y)-xi)^b that
+    the martingale engine runs; specs for the generator checks leave it None.
     """
 
     points: tuple[float, ...]
     weights: tuple[float, ...]
-    form: str = "one_point_power"
     exponents: Optional[tuple[float, float]] = None
-    func: Optional[Callable] = None
-    bcc: KacLabel = field(default_factory=lambda: KacLabel(1, 2))
 
     def __post_init__(self):
         pts = tuple(float(y) for y in self.points)
@@ -89,14 +92,6 @@ class ObservableSpec:
             raise ValueError("points and weights must pair up")
         if len(set(pts)) != len(pts) or any(y == 0.0 for y in pts):
             raise ValueError("points must be pairwise distinct and nonzero")
-        if self.form == "one_point_power":
-            if len(pts) != 1 or self.exponents is None:
-                raise ValueError("one_point_power takes one point and an (a, b) pair")
-        elif self.form == "generic_callable":
-            if self.func is None:
-                raise ValueError("generic_callable needs func")
-        else:
-            raise ValueError(f"unknown form {self.form!r}")
 
 
 def _d1(f: Callable[[float], float], x: float) -> float:
@@ -199,42 +194,70 @@ class OnePointValue(NamedTuple):
     stop_step: Optional[int]
 
 
+def _check_one_point(y: float, a: float, b: float, eps_stop: float) -> None:
+    """Reject inputs the one-point walk cannot fail closed on: a non-finite
+    y, a, b or eps_stop (b = -inf makes every value and F_0 zero, a NaN
+    eps_stop stops every sample or none), or not 0 <= eps_stop < y.  Here
+    y is the point's distance right of the driving's start."""
+    for name, v in (("y", y), ("a", a), ("b", b), ("eps_stop", eps_stop)):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
+    if not 0.0 <= eps_stop < y:
+        raise ValueError(f"need 0 <= eps_stop < y: the point starts right of the seed, "
+                         f"outside the stopping band; got y={y}, eps_stop={eps_stop}")
+
+
+def _one_point_walk(xi: np.ndarray, four_dt: float, y: float, a: float, b: float,
+                    eps_stop: float, record: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(g'(y))^a (g(y)-xi)^b for each column of the step-major driving block
+    xi, shape (n+1, m), stopped as the module docstring says.
+
+    Returns the frozen values and the alive masks (True: the sample can
+    take another real step) at the steps in ``record``, each of shape
+    (m, len(record)).  y - xi[0] and the rest must pass
+    :func:`_check_one_point`."""
+    m = xi.shape[1]
+    w = np.full(m, float(y))
+    log_gp = np.zeros(m)
+    alive = np.ones(m, dtype=bool)
+    frozen = np.full(m, math.nan)   # step 0 sets every value
+    frozen_at, alive_at = [], []
+    for k in range(xi.shape[0]):
+        x = w - xi[k]
+        # below eps_stop the sample froze at its previous value; above it
+        # the state is evaluable even when no further real step exists
+        above = alive & (x > eps_stop)
+        log_x = np.log(np.where(above, x, 1.0))
+        frozen = np.where(above, np.exp(a * log_gp + b * log_x), frozen)
+        x2 = x * x
+        alive = above & (x2 > four_dt)
+        if k in record:
+            frozen_at.append(frozen)
+            alive_at.append(alive)
+        if k + 1 < xi.shape[0]:
+            root = np.sqrt(np.where(alive, x2 - four_dt, 1.0))
+            w = np.where(alive, xi[k] + root, w)
+            log_gp = np.where(alive, log_gp + log_x - np.log(root), log_gp)
+    return np.stack(frozen_at, axis=1), np.stack(alive_at, axis=1)
+
+
 def eval_one_point(evo: LoewnerEvolution, y: float, a: float, b: float,
                    up_to: Optional[int] = None,
                    eps_stop: float = 1e-3) -> OnePointValue:
-    """(g'(y))^a (g(y)-xi)^b along a backward evolution, with optional
-    stopping: the walk freezes at the last step where X = g(y)-xi both
-    exceeds eps_stop and can take another real step (X^2 > 4 dt).  The
-    frozen value is returned with the stopped marker and step."""
+    """(g'(y))^a (g(y)-xi)^b along a backward evolution up to step
+    ``up_to`` (default: the last), with the stopping of the module
+    docstring.  ``stop_step`` is the first step that cannot take another
+    real step; the martingale engine counts such a sample as stopped."""
     if evo.direction != "backward":
         raise ValueError("one-point observables evolve under the backward flow")
-    y = float(y)
-    if y <= 0.0:
-        raise ValueError("boundary point must be positive (place it right of the seed)")
     n = evo.n_steps if up_to is None else up_to
     if not 0 <= n <= evo.n_steps:
         raise ValueError(f"step must be in [0, {evo.n_steps}]")
-    vals = evo.driving_values
-    dt = evo.dt
-    four_dt = 4.0 * dt
-    w = y
-    log_gp = 0.0
-    last = None
-    for k in range(n + 1):
-        x = w - float(vals[k])
-        if x <= eps_stop:
-            if last is None:
-                raise ValueError(f"point {y} is inside the stopping band at t=0")
-            return OnePointValue(last, True, k)
-        last = math.exp(a * log_gp + b * math.log(x))
-        if k == n:
-            return OnePointValue(last, False, None)
-        if x * x <= four_dt:
-            return OnePointValue(last, True, k)
-        root = math.sqrt(x * x - four_dt)
-        log_gp += math.log(x) - math.log(root)
-        w = float(vals[k]) + root
-    raise AssertionError("unreachable")
+    xi = evo.driving_values[:n + 1, None]
+    _check_one_point(y - xi[0, 0], a, b, eps_stop)
+    frozen, alive = _one_point_walk(xi, 4.0 * evo.dt, y, a, b, eps_stop, range(n + 1))
+    stop = next((k for k, live in enumerate(alive[0]) if not live), None)
+    return OnePointValue(float(frozen[0, -1]), stop is not None, stop)
 
 
 class PairResidual(NamedTuple):

@@ -237,6 +237,17 @@ USAGE_ERRORS = {
                                      "--eps-stop", "nan"],
     "martingale-test-eps-stop-negative": ["martingale-test", "--samples", "2000",
                                           "--steps", "50", "--eps-stop", "-1"],
+    # b = -inf makes every value and F0 zero (a silent pass); an infinite or
+    # NaN point or exponent would fail the run and still write a directory
+    "martingale-test-exponent-b-neg-inf": ["martingale-test", "--samples", "200",
+                                           "--steps", "20", "--horizon", "0.01", "--y", "2",
+                                           "--exponent-a", "0", "--exponent-b=-inf"],
+    "martingale-test-y-inf": ["martingale-test", "--samples", "200", "--steps", "5",
+                              "--y", "inf"],
+    "martingale-test-y-nan": ["martingale-test", "--samples", "200", "--steps", "5",
+                              "--y", "nan"],
+    "martingale-test-exponent-a-nan": ["martingale-test", "--samples", "200", "--steps", "5",
+                                       "--exponent-a", "nan"],
     "martingale-test-kappa-inf": ["martingale-test", "--samples", "200", "--steps", "5",
                                   "--kappa", "inf"],
     "inverse-check-kappa-inf": ["inverse-check", "--samples", "2", "--steps", "5",

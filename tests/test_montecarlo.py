@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from revsle.driving import TimeGrid, sample_brownian
+from revsle.loewner import evolve_backward
 from revsle.montecarlo import (BATCH_SIZE, McConfig, _run_batched, _xi_block,
                                run_composed_stats, run_inverse_consistency,
                                run_martingale_test)
-from revsle.observables import ObservableSpec
+from revsle.observables import ObservableSpec, eval_one_point
 
 
 def one_point(y, a, b):
@@ -35,14 +36,19 @@ def test_config_validation():
         with pytest.raises(ValueError):
             McConfig(kappa=kappa, horizon=horizon, n_steps=n_steps, n_samples=100,
                      master_seed=0, observable=DRIFT_FREE)
-    with pytest.raises(ValueError):
-        McConfig(kappa=4.0, horizon=0.05, n_steps=10, n_samples=100,
-                 master_seed=0, observable=DRIFT_FREE,
-                 checkpoints=(0.013,))   # not a grid time
-    for eps_stop in (math.nan, math.inf, -1.0):
+    for eps_stop in (math.nan, math.inf, -1.0, 1.0):   # 1.0: y = 1 starts in the band
         with pytest.raises(ValueError):
             McConfig(kappa=4.0, horizon=0.05, n_steps=10, n_samples=100,
                      master_seed=0, observable=DRIFT_FREE, eps_stop=eps_stop)
+    # the engine runs one point with an (a, b) pair, all finite
+    bad = [ObservableSpec(points=(1.0,), weights=(1.0,)),
+           ObservableSpec(points=(1.0, 2.0), weights=(1.0, 1.0), exponents=(1.0, 1.0))]
+    bad += [one_point(y, a, b) for y, a, b in ((math.inf, 0.0, 1.0), (math.nan, 0.0, 1.0),
+                                               (2.0, math.nan, 1.0), (2.0, 0.0, -math.inf))]
+    for obs in bad:
+        with pytest.raises(ValueError):
+            McConfig(kappa=4.0, horizon=0.05, n_steps=10, n_samples=100,
+                     master_seed=0, observable=obs)
     McConfig(kappa=4.0, horizon=0.05, n_steps=10, n_samples=100,
              master_seed=0, observable=DRIFT_FREE, eps_stop=0.0)   # no stopping band
 
@@ -188,13 +194,20 @@ def test_constant_observable_mean_is_exactly_one():
     assert rep.verdict
 
 
-def test_constant_callable_observable():
-    obs = ObservableSpec(points=(1.0,), weights=(0.0,), form="generic_callable",
-                         func=lambda gp, g, xi: np.ones_like(g))
-    cfg = McConfig(kappa=4.0, horizon=0.05, n_steps=50, n_samples=200,
-                   master_seed=1, observable=obs)
-    rep = run_martingale_test(cfg)
-    assert all(row.mean == 1.0 and row.z == 0.0 for row in rep.rows)
+# in the first config some samples end with eps_stop < X_n <= 2 sqrt(dt),
+# which count as stopped; in the second, scalar math.exp/log would move the
+# mean in its last digit
+@pytest.mark.parametrize("kappa,horizon,n_steps,eps_stop",
+                         [(4.0, 0.2, 40, 1e-3), (6.0, 0.5, 25, 0.05)])
+def test_engine_is_eval_one_point_per_sample(kappa, horizon, n_steps, eps_stop):
+    cfg = McConfig(kappa=kappa, horizon=horizon, n_steps=n_steps, n_samples=300,
+                   master_seed=9, observable=DRIFT_FREE, eps_stop=eps_stop)
+    last = run_martingale_test(cfg).rows[-1]
+    grid = TimeGrid(horizon, n_steps)
+    outs = [eval_one_point(evolve_backward(sample_brownian(grid, kappa, 9 + i)),
+                           1.0, -3.0, 3.0, eps_stop=eps_stop) for i in range(300)]
+    assert math.fsum(o.value for o in outs) / 300 == last.mean
+    assert sum(o.stopped for o in outs) == last.n_stopped > 0
 
 
 def test_drift_free_pair_passes():
@@ -282,11 +295,6 @@ def test_inverse_nan_in_a_later_sample_fails_closed(nan_in_sample_1):
     assert not rep.passed
 
 
-def test_inverse_rejects_low_points():
-    with pytest.raises(ValueError):
-        run_inverse_consistency(4.0, 1.0, 100, 10, test_points=[0.5j])
-
-
 # --- composed flow ---------------------------------------------------------------
 
 def test_composed_containment_and_survival():
@@ -310,8 +318,3 @@ def test_composed_counts_nan_image_as_violation(nan_in_sample_1):
     nan_in_sample_1()
     rep = run_composed_stats(4.0, 0.1, 20, 100, master_seed=5)
     assert rep.containment_violations == 1
-
-
-def test_composed_rejects_boundary_grid():
-    with pytest.raises(ValueError):
-        run_composed_stats(4.0, 0.1, 10, 100, z_grid=[1.0 + 0.0j])

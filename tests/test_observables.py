@@ -103,8 +103,7 @@ def test_generator_is_twice_level2_operator():
     # checked pointwise on a shared family of test functions
     kappa = 3.7
     b2 = kappa / 4.0
-    spec = ObservableSpec(points=(1.3, -0.8), weights=(0.7, -1.2),
-                          form="generic_callable", func=lambda *a: None)
+    spec = ObservableSpec(points=(1.3, -0.8), weights=(0.7, -1.2))
     family = [
         lambda xi, ys: (ys[0] - xi) ** 1.5 * (ys[1] - xi) ** 2,
         lambda xi, ys: math.exp(0.3 * (ys[0] - xi)) * (ys[1] - xi) ** -1,
@@ -220,6 +219,27 @@ def test_eval_one_point_stops_at_unsteppable_state():
     assert out.value == pytest.approx(math.sqrt(3.5) - 1.5, abs=1e-12)
 
 
+def test_eval_one_point_stops_at_unsteppable_final_state():
+    # X_2 = sqrt(3) - 1.5 > eps_stop is evaluated, but X_2^2 <= 4 dt: the walk
+    # could take no further real step, so the sample counts as stopped at the
+    # last step, as the martingale engine counts it
+    grid = TimeGrid(0.25, 2)
+    evo = evolve_backward(explicit_path(grid, 4.0, [0.0, 0.0, 1.5]))
+    out = eval_one_point(evo, 2.0, a=0.0, b=1.0)
+    assert (out.stopped, out.stop_step) == (True, 2)
+    assert out.value == 0.2320508075688772
+
+
+@pytest.mark.parametrize("y,a,b,eps_stop", [
+    (math.inf, 0.0, 1.0, 1e-3), (math.nan, 0.0, 1.0, 1e-3), (2.0, math.nan, 1.0, 1e-3),
+    (2.0, 0.0, -math.inf, 1e-3), (2.0, 0.0, 1.0, math.nan), (2.0, 0.0, 1.0, -1.0),
+    (2.0, 0.0, 1.0, 2.0)])
+def test_eval_one_point_rejects_nonfinite_or_banded_inputs(y, a, b, eps_stop):
+    evo = evolve_backward(zero_path(0.25, 4))
+    with pytest.raises(ValueError):
+        eval_one_point(evo, y, a, b, eps_stop=eps_stop)
+
+
 def test_eval_one_point_requires_backward():
     evo = evolve_forward(zero_path(0.25, 4))
     with pytest.raises(ValueError):
@@ -272,9 +292,6 @@ def test_observable_spec_validation():
     with pytest.raises(ValueError):
         ObservableSpec(points=(0.0,), weights=(1.0,), exponents=(1.0, 1.0))
     with pytest.raises(ValueError):
-        ObservableSpec(points=(1.0, 1.0), weights=(1.0, 1.0),
-                       form="generic_callable", func=lambda *a: a)
+        ObservableSpec(points=(1.0, 1.0), weights=(1.0, 1.0))
     with pytest.raises(ValueError):
-        ObservableSpec(points=(1.0,), weights=(1.0,))   # missing exponents
-    with pytest.raises(ValueError):
-        ObservableSpec(points=(1.0,), weights=(1.0,), form="generic_callable")
+        ObservableSpec(points=(1.0, 2.0), weights=(1.0,))
