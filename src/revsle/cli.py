@@ -1,5 +1,9 @@
 """Command-line entry point: every experiment is a subcommand.
 
+This is the one module that knows file formats.  The library returns plain
+data (dataclasses, floats, arrays); every CSV goes through ``_csv`` and
+every JSON file through ``_json_bytes``.
+
 Configs come from flags or a JSON file (--config; explicit flags win).
 Each run writes its data files plus a manifest into one directory named by
 the subcommand and a digest of the canonical config, so identical configs
@@ -17,6 +21,7 @@ table.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -29,9 +34,8 @@ from typing import Any, Callable, NamedTuple, Optional
 
 from . import __version__
 from .cft import coupling_check, kac_dimension, params_from_kappa
-from .driving import TimeGrid, path_to_csv, sample_brownian
-from .loewner import (evolution_to_json, evolve_backward, evolve_forward,
-                      evolve_wholeplane, trace)
+from .driving import TimeGrid, sample_brownian
+from .loewner import evolve_backward, evolve_forward, evolve_wholeplane, trace
 from .montecarlo import (McConfig, run_composed_stats, run_inverse_consistency,
                          run_martingale_test)
 from .observables import (ObservableSpec, audit_one_point_exponents,
@@ -54,16 +58,30 @@ class _Key(NamedTuple):
     help: Optional[str] = None
 
 
-def _json_bytes(payload: dict) -> bytes:
-    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+def _fields(obj) -> dict:
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
-def _csv_floats(header: str, rows) -> bytes:
-    """CSV of float rows; float() first, since numpy >= 2 scalars repr() as
-    ``np.float64(x)``."""
-    lines = [header + "\n"]
-    lines += [",".join(repr(float(v)) for v in row) + "\n" for row in rows]
-    return "".join(lines).encode()
+def _jsonable(obj):
+    """json's default= hook: a dataclass is the dict of its fields, a complex
+    number the pair [re, im]."""
+    if dataclasses.is_dataclass(obj):
+        return _fields(obj)
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _json_bytes(payload) -> bytes:
+    return (json.dumps(payload, indent=2, sort_keys=True, default=_jsonable) + "\n").encode()
+
+
+def _csv(header: str, rows) -> bytes:
+    """The header line, then one line per row with each field str(v): the
+    shortest round-trip repr of a Python or numpy float, exact for a
+    Fraction."""
+    lines = [header] + [",".join(map(str, row)) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
 
 
 def _fraction(text: str) -> Fraction:
@@ -88,17 +106,19 @@ def _sampled_path(cfg: dict):
 
 
 def _simulate(evolve, cfg, workers):
-    _, path = _sampled_path(cfg)
+    grid, path = _sampled_path(cfg)
     evo = evolve(path)
-    return ({"path.csv": path_to_csv(path),
-             "evolution.json": _json_bytes(evolution_to_json(evo))}, 0, None)
+    meta = {"kappa": path.kappa, "direction": evo.direction, "T": grid.horizon,
+            "n_steps": evo.n_steps, "seed": path.seed}
+    return ({"path.csv": _csv("t,xi", zip(grid.times(), path.values)),
+             "evolution.json": _json_bytes(meta)}, 0, None)
 
 
 def _trace(cfg, workers):
     grid, path = _sampled_path(cfg)
     gamma = trace(evolve_forward(path))
     rows = zip(grid.times(), gamma.real, gamma.imag)
-    return {"trace.csv": _csv_floats("t,re_gamma,im_gamma", rows)}, 0, None
+    return {"trace.csv": _csv("t,re_gamma,im_gamma", rows)}, 0, None
 
 
 def _radial(cfg, workers):
@@ -108,22 +128,20 @@ def _radial(cfg, workers):
     grid, path = _sampled_path(cfg)
     evo = evolve_wholeplane(path, z0=complex(float(z0[0]), float(z0[1])))
     rows = zip(grid.times(), evo.states.real, evo.states.imag)
-    files = {"radial.csv": _csv_floats("t,re_g,im_g", rows)}
+    files = {"radial.csv": _csv("t,re_g,im_g", rows)}
     if not evo.completed:
         print("radial: non-finite state in the trajectory", file=sys.stderr)
     return files, 0 if evo.completed else 1, None
 
 
 def _cft_table(cfg, workers):
-    lines = ["kappa,c_L,c_M,sum,h12_L,h12_M,h13_L\n"]
+    rows = []
     for k in _kappa_list(str(cfg["kappa"])):
-        c_l, c_m, total = coupling_check(k)
         liou = params_from_kappa(k, "liouville")
         matt = params_from_kappa(k, "matter")
-        row = (k, c_l, c_m, total, kac_dimension(liou, 1, 2),
-               kac_dimension(matt, 1, 2), kac_dimension(liou, 1, 3))
-        lines.append(",".join(str(v) for v in row) + "\n")
-    return {"table.csv": "".join(lines).encode()}, 0, None
+        rows.append((k, *coupling_check(k), kac_dimension(liou, 1, 2),
+                     kac_dimension(matt, 1, 2), kac_dimension(liou, 1, 3)))
+    return {"table.csv": _csv("kappa,c_L,c_M,sum,h12_L,h12_M,h13_L", rows)}, 0, None
 
 
 def _virasoro_check(cfg, workers):
@@ -157,13 +175,13 @@ def _exponents(cfg, workers):
     payload = {
         "kappa": kappa,
         "h": h,
-        "roots": [[roots.b_plus.real, roots.b_plus.imag],
-                  [roots.b_minus.real, roots.b_minus.imag]],
+        "roots": [roots.b_plus, roots.b_minus],
         "complex_roots": roots.complex_roots,
         "proposed_pair_ok": audit.proposed.satisfies,
-        "derived_pairs": audit.to_json()["derived_pairs"],
+        "derived_pairs": audit.derived,
     }
-    return {"report.json": _json_bytes(payload)}, 0, json.dumps(payload, indent=2)
+    text = json.dumps(payload, indent=2, default=_jsonable)
+    return {"report.json": _json_bytes(payload)}, 0, text
 
 
 def _martingale(cfg, workers):
@@ -176,9 +194,11 @@ def _martingale(cfg, workers):
                   eps_stop=float(cfg["eps-stop"]))
     report = run_martingale_test(mc, workers=workers)
     lines = [f"t={row.t:.6g} mean={row.mean:.8g} z={row.z:+.3f} "
-             f"alive={row.n_alive} stopped={row.n_stopped}" for row in report.rows]
+             f"alive={row.n_alive} stopped={row.n_stopped}" for row in report.checkpoints]
     lines.append(f"verdict: {'pass' if report.verdict else 'FAIL'}")
-    files = {"report.csv": report.csv_bytes(), "report.json": _json_bytes(report.to_json())}
+    files = {"report.csv": _csv("t,mean,stderr,z,n_alive,n_stopped",
+                                map(dataclasses.astuple, report.checkpoints)),
+             "report.json": _json_bytes(report)}
     return files, 0 if report.verdict else 1, "\n".join(lines)
 
 
@@ -187,7 +207,10 @@ def _inverse_check(cfg, workers):
                                      int(cfg["steps"]), int(cfg["samples"]),
                                      master_seed=int(cfg["seed"]),
                                      workers=workers)
-    files = {"samples.csv": report.csv_bytes(), "report.json": _json_bytes(report.to_json())}
+    fields = _fields(report)
+    errors = fields.pop("sample_errors")
+    files = {"samples.csv": _csv("sample,max_error", enumerate(errors)),
+             "report.json": _json_bytes(fields)}
     text = (f"max_error={report.max_error:.6g} mean_error={report.mean_error:.6g} "
             f"bound={report.bound:.6g} -> {'pass' if report.passed else 'FAIL'}")
     return files, 0 if report.passed else 1, text
@@ -201,7 +224,7 @@ def _composed(cfg, workers):
     text = (f"survival={report.survival_fraction:.4f} "
             f"violations={report.containment_violations}")
     code = 0 if report.containment_violations == 0 else 1
-    return {"report.json": _json_bytes(report.to_json())}, code, text
+    return {"report.json": _json_bytes(report)}, code, text
 
 
 # --- the table --------------------------------------------------------------

@@ -40,7 +40,6 @@ __all__ = [
     "quadratic_variation",
     "raw_normals",
     "normal_increment",
-    "path_to_csv",
 ]
 
 _KEY_MOD = 1 << 128  # Philox key width
@@ -172,10 +171,3 @@ def quadratic_variation(path: DrivingPath) -> float:
     """Sum of squared increments; estimates kappa*T for Brownian driving."""
     return float(np.sum(np.square(np.diff(path.values))))
 
-
-def path_to_csv(path: DrivingPath) -> bytes:
-    """Columns (t, xi) as CSV bytes."""
-    lines = ["t,xi\n"]
-    lines += [f"{t!r},{x!r}\n" for t, x in zip(path.grid.times().tolist(),
-                                               path.values.tolist())]
-    return "".join(lines).encode()

@@ -60,7 +60,6 @@ __all__ = [
     "trace",
     "RadialEvolution",
     "evolve_wholeplane",
-    "evolution_to_json",
 ]
 
 # Points whose slit-map discriminant (w-xi)^2 +- 4dt falls within this of the
@@ -128,8 +127,6 @@ class LoewnerEvolution:
     direction: str
     driving_values: np.ndarray
     dt: float
-    kappa: float
-    source: Optional[DrivingPath] = None
 
     def __post_init__(self):
         if self.direction not in ("forward", "backward"):
@@ -145,12 +142,12 @@ class LoewnerEvolution:
 
 def evolve_forward(path: DrivingPath) -> LoewnerEvolution:
     """Forward chain for the given driving (one exact slit map per step)."""
-    return LoewnerEvolution("forward", path.values, path.grid.dt, path.kappa, path)
+    return LoewnerEvolution("forward", path.values, path.grid.dt)
 
 
 def evolve_backward(path: DrivingPath) -> LoewnerEvolution:
     """Backward chain: maps H into H minus a growing slit."""
-    return LoewnerEvolution("backward", path.values, path.grid.dt, path.kappa, path)
+    return LoewnerEvolution("backward", path.values, path.grid.dt)
 
 
 def _resolve_steps(evo: LoewnerEvolution, up_to: Optional[int]) -> int:
@@ -277,14 +274,3 @@ def evolve_wholeplane(path: DrivingPath, z0: complex = 1j) -> RadialEvolution:
         states.append(g)
     return RadialEvolution(np.array(states, dtype=np.complex128), path)
 
-
-def evolution_to_json(evo: LoewnerEvolution) -> dict:
-    horizon = (evo.source.grid.horizon if evo.source is not None
-               else evo.dt * evo.n_steps)
-    return {
-        "kappa": evo.kappa,
-        "direction": evo.direction,
-        "T": horizon,
-        "n_steps": evo.n_steps,
-        "seed": evo.source.seed if evo.source is not None else None,
-    }

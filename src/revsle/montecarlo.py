@@ -21,15 +21,13 @@ batch's driving block; that module states the stopping rule.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import multiprocessing
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -104,39 +102,8 @@ class McReport:
     master_seed: int
     eps_stop: float
     f0: float
-    rows: tuple[CheckpointRow, ...]
+    checkpoints: tuple[CheckpointRow, ...]
     verdict: bool
-
-    def to_json(self) -> dict:
-        return {
-            "kappa": self.kappa,
-            "horizon": self.horizon,
-            "n_steps": self.n_steps,
-            "n_samples": self.n_samples,
-            "master_seed": self.master_seed,
-            "eps_stop": self.eps_stop,
-            "f0": self.f0,
-            "checkpoints": [
-                {"t": r.t, "mean": r.mean, "stderr": r.stderr, "z": r.z,
-                 "n_alive": r.n_alive, "n_stopped": r.n_stopped}
-                for r in self.rows
-            ],
-            "verdict": self.verdict,
-        }
-
-    def csv_bytes(self) -> bytes:
-        return _csv_bytes(["t", "mean", "stderr", "z", "n_alive", "n_stopped"],
-                          ([repr(r.t), repr(r.mean), repr(r.stderr), repr(r.z),
-                            r.n_alive, r.n_stopped] for r in self.rows))
-
-
-def _csv_bytes(header: list[str], rows: Iterable[list]) -> bytes:
-    """A report's CSV file: the header, then one line per row."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue().encode()
 
 
 def _batches(n: int) -> list[tuple[int, int]]:
@@ -234,7 +201,7 @@ def run_martingale_test(config: McConfig, workers: int = 1) -> McReport:
               for f, live in zip(frozen_at.T, alive_at.T)]
              for frozen_at, alive_at in _run_batched(batch, config.n_samples, workers)]
     n = config.n_samples
-    rows = []
+    checkpoints = []
     all_ok = True
     for i, k in enumerate(check_idx):
         total = math.fsum(p[i][0] for p in stats)
@@ -250,10 +217,10 @@ def run_martingale_test(config: McConfig, workers: int = 1) -> McReport:
         else:
             z = (mean - f0) / stderr
         all_ok = all_ok and abs(z) <= Z_THRESHOLD
-        rows.append(CheckpointRow(k * dt, mean, stderr, z, n_alive, n - n_alive))
+        checkpoints.append(CheckpointRow(k * dt, mean, stderr, z, n_alive, n - n_alive))
     return McReport(config.kappa, config.horizon, config.n_steps, n,
                     config.master_seed, config.eps_stop, float(f0),
-                    tuple(rows), all_ok)
+                    tuple(checkpoints), all_ok)
 
 
 @dataclass(frozen=True)
@@ -269,24 +236,6 @@ class InverseConsistencyReport:
     bound: float          # 10 * sqrt(T / n_steps)
     passed: bool
     sample_errors: tuple[float, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "kappa": self.kappa,
-            "horizon": self.horizon,
-            "n_steps": self.n_steps,
-            "n_samples": self.n_samples,
-            "master_seed": self.master_seed,
-            "test_points": [[z.real, z.imag] for z in self.test_points],
-            "max_error": self.max_error,
-            "mean_error": self.mean_error,
-            "bound": self.bound,
-            "passed": self.passed,
-        }
-
-    def csv_bytes(self) -> bytes:
-        return _csv_bytes(["sample", "max_error"],
-                          ([i, repr(e)] for i, e in enumerate(self.sample_errors)))
 
 
 _DEFAULT_TEST_POINTS = (1j, 1.0 + 1.0j, -1.0 + 2.0j)   # each with Im z >= 1
@@ -342,21 +291,6 @@ class ComposedReport:
     containment_violations: int
     mean_image: complex
     im_spread: float
-
-    def to_json(self) -> dict:
-        return {
-            "kappa": self.kappa,
-            "horizon": self.horizon,
-            "n_steps": self.n_steps,
-            "n_samples": self.n_samples,
-            "master_seed": self.master_seed,
-            "shared_driving": self.shared_driving,
-            "n_points": self.n_points,
-            "survival_fraction": self.survival_fraction,
-            "containment_violations": self.containment_violations,
-            "mean_image": [self.mean_image.real, self.mean_image.imag],
-            "im_spread": self.im_spread,
-        }
 
 
 _DEFAULT_Z_GRID = tuple(x + 1j * v for v in (0.5, 1.0, 2.0) for x in (-1.5, -0.5, 0.5, 1.5))

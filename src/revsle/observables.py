@@ -260,7 +260,8 @@ def eval_one_point(evo: LoewnerEvolution, y: float, a: float, b: float,
     return OnePointValue(float(frozen[0, -1]), stop is not None, stop)
 
 
-class PairResidual(NamedTuple):
+@dataclass(frozen=True)
+class PairResidual:
     a: float
     b: float
     residual: float
@@ -281,18 +282,6 @@ class OnePointExponentAudit:
     proposed: PairResidual
     derived: tuple[PairResidual, ...]
     tolerance: float
-
-    def to_json(self) -> dict:
-        def pack(p: PairResidual) -> dict:
-            return {"a": p.a, "b": p.b, "residual": p.residual,
-                    "satisfies": p.satisfies}
-
-        return {
-            "kappa": self.kappa,
-            "proposed_pair": pack(self.proposed),
-            "derived_pairs": [pack(c) for c in self.derived],
-            "tolerance": self.tolerance,
-        }
 
 
 def audit_one_point_exponents(kappa: float,

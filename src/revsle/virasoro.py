@@ -227,15 +227,10 @@ def w_eigenvalue(kappa: Rational) -> WEigenvalue:
     is returned.  Raises DecompositionError if the image is not in
     span{|h>, N} (which would indicate an algebra bug).
     """
-    k = Fraction(kappa)
-    if isinstance(kappa, float):
-        raise TypeError("exact module: kappa must be int or Fraction, not float")
-    if not k > 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
-    b2, c = Fraction(k, 4), None
-    p = params_from_kappa(k, "liouville")
-    c = p.c
-    h = -Fraction(1, 2) - 3 / (4 * b2)
+    null, singular = null_vector_12(kappa, "liouville")   # checks kappa
+    if not singular:
+        raise DecompositionError(f"(1,2) vector not singular at kappa={kappa}")
+    k, h, c = Fraction(kappa), null.h, null.c
     v0 = vacuum(h, c)
 
     def w_minus1(u: VermaVector) -> VermaVector:
@@ -246,13 +241,10 @@ def w_eigenvalue(kappa: Rational) -> WEigenvalue:
 
     image = w_minus2(v0).scale(2) + w_minus1(w_minus1(v0)).scale(k / 2)
 
-    null, singular = null_vector_12(k, "liouville")
-    if not singular:
-        raise DecompositionError(f"(1,2) vector not singular at kappa={k}")
     mu = image.coefficient((2,)) / null.coefficient((2,))
     remainder = image - null.scale(mu)
     lam = remainder.coefficient(())
-    exact = (remainder - vacuum(h, c).scale(lam)).is_zero()
+    exact = (remainder - v0.scale(lam)).is_zero()
     if not exact:
         raise DecompositionError(
             f"image not in span of highest-weight vector and null vector at kappa={k}")

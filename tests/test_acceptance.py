@@ -5,6 +5,7 @@ The heavy ensemble runs are shared between the statistical criteria and the
 reproducibility criterion through session fixtures.
 """
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -120,8 +121,8 @@ def test_criterion_04_generator_oracle_equivalence():
 
 
 def test_criterion_05_stopped_martingale(martingale_good, martingale_wrong):
-    zs = [abs(r.z) for r in martingale_good.rows]
-    zw = [abs(r.z) for r in martingale_wrong.rows]
+    zs = [abs(r.z) for r in martingale_good.checkpoints]
+    zw = [abs(r.z) for r in martingale_wrong.checkpoints]
     ok = (martingale_good.verdict and max(zs) <= 3.0
           and not martingale_wrong.verdict and max(zw) > 3.0)
     report(5, ok, f"kappa=4, y=1, T=0.05, 500 steps, 5e4 samples: pair (-3,3) "
@@ -187,7 +188,7 @@ def test_criterion_09_exponent_audit(capsys):
         audit = audit_one_point_exponents(kappa)
         ok = ok and not audit.proposed.satisfies
         ok = ok and all(c.satisfies for c in audit.derived)
-        payloads.append(audit.to_json())
+        payloads.append(dataclasses.asdict(audit))
     print(json.dumps(payloads, indent=2))   # the emitted discrepancy report
     report(9, ok, "proposed exponent pair a=b=-1-8/kappa^2 violates the drift "
                   "condition at kappa in {2,4,6}; both derived pairs satisfy it")
@@ -197,7 +198,7 @@ def test_criterion_10_reproducibility(martingale_good, inverse_500):
     rerun_mc = run_martingale_test(_mc_config(3.0), workers=4)
     rerun_inv = run_inverse_consistency(4.0, 1.0, 500, 100,
                                         master_seed=MASTER_SEED, workers=4)
-    ok = (rerun_mc.csv_bytes() == martingale_good.csv_bytes()
-          and rerun_inv.csv_bytes() == inverse_500.csv_bytes())
-    report(10, ok, "martingale and inverse CSVs byte-identical for "
-                   "1 vs 4 workers")
+    ok = (repr(rerun_mc) == repr(martingale_good)
+          and repr(rerun_inv) == repr(inverse_500))
+    report(10, ok, "martingale and inverse reports identical in every field "
+                   "for 1 vs 4 workers")

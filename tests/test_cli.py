@@ -13,6 +13,7 @@ import pytest
 import revsle.cli
 import revsle.loewner
 from revsle.cli import main
+from revsle.driving import TimeGrid, sample_brownian
 
 
 def run(tmp_path, *argv):
@@ -122,6 +123,74 @@ def test_composed_subcommand(tmp_path, capsys):
     d = only_run_dir(tmp_path, "composed-")
     report = json.loads((d / "report.json").read_text())
     assert report["containment_violations"] == 0
+
+
+# The sorted keys of each report.json with a dataclass behind it: the field
+# names are the file's keys.
+REPORT_KEYS = {
+    "martingale-test": (["--samples", "200", "--steps", "10"],
+                        "checkpoints eps_stop f0 horizon kappa master_seed n_samples "
+                        "n_steps verdict"),
+    "inverse-check": (["--samples", "3", "--steps", "10"],
+                      "bound horizon kappa master_seed max_error mean_error n_samples "
+                      "n_steps passed test_points"),
+    "composed": (["--samples", "3", "--steps", "10"],
+                 "containment_violations horizon im_spread kappa master_seed mean_image "
+                 "n_points n_samples n_steps shared_driving survival_fraction"),
+    "exponents": (["--kappa", "4"],
+                  "complex_roots derived_pairs h kappa proposed_pair_ok roots"),
+}
+
+
+@pytest.mark.parametrize("sub", REPORT_KEYS)
+def test_report_json_keys(sub, tmp_path, capsys):
+    flags, keys = REPORT_KEYS[sub]
+    assert run(tmp_path, sub, *flags, "--workers", "1") == 0
+    report = json.loads((only_run_dir(tmp_path, sub + "-") / "report.json").read_text())
+    assert sorted(report) == keys.split()
+    if sub == "martingale-test":
+        assert len(report["checkpoints"]) == 5
+        assert sorted(report["checkpoints"][0]) == ["mean", "n_alive", "n_stopped",
+                                                    "stderr", "t", "z"]
+    if sub == "inverse-check":   # complex numbers are [re, im] pairs
+        assert report["test_points"] == [[0.0, 1.0], [1.0, 1.0], [-1.0, 2.0]]
+    if sub == "composed":
+        assert len(report["mean_image"]) == 2
+    if sub == "exponents":
+        assert sorted(report["derived_pairs"][0]) == ["a", "b", "residual", "satisfies"]
+
+
+CSV_HEADERS = [
+    ("martingale-test", ["--samples", "200", "--steps", "10"], "report.csv",
+     "t,mean,stderr,z,n_alive,n_stopped", 5),
+    ("inverse-check", ["--samples", "3", "--steps", "10"], "samples.csv",
+     "sample,max_error", 3),
+    ("simulate-forward", ["--steps", "10"], "path.csv", "t,xi", 11),
+    ("simulate-backward", ["--steps", "10"], "path.csv", "t,xi", 11),
+    ("trace", ["--steps", "10"], "trace.csv", "t,re_gamma,im_gamma", 11),
+    ("radial", ["--steps", "10"], "radial.csv", "t,re_g,im_g", 11),
+    ("cft-table", ["--kappa", "2,8/3"], "table.csv", "kappa,c_L,c_M,sum,h12_L,h12_M,h13_L", 2),
+]
+
+
+@pytest.mark.parametrize("sub,flags,name,header,n_rows", CSV_HEADERS,
+                         ids=[case[0] for case in CSV_HEADERS])
+def test_csv_header_and_rows(sub, flags, name, header, n_rows, tmp_path, capsys):
+    assert run(tmp_path, sub, *flags) == 0
+    lines = (only_run_dir(tmp_path, sub + "-") / name).read_text().split("\n")
+    assert lines[0] == header and lines[-1] == ""
+    assert len(lines) == n_rows + 2
+    assert all(line.count(",") == header.count(",") for line in lines[1:-1])
+
+
+def test_path_csv_reads_back_bitwise(tmp_path, capsys):
+    assert run(tmp_path, "simulate-forward", "--kappa", "2", "--steps", "40",
+               "--horizon", "0.5", "--seed", "77") == 0
+    lines = (only_run_dir(tmp_path, "simulate-forward-") / "path.csv").read_text().split("\n")
+    path = sample_brownian(TimeGrid(0.5, 40), 2.0, 77)
+    rows = [line.split(",") for line in lines[1:-1]]
+    assert [float(t) for t, _ in rows] == path.grid.times().tolist()
+    assert [float(x) for _, x in rows] == path.values.tolist()
 
 
 def test_simulate_and_trace_and_radial(tmp_path, capsys):
@@ -325,6 +394,24 @@ PINNED = [
 ]
 
 
+# sha256 of data files of the flags runs above.  Their values come from
+# exact rationals or correctly rounded float operations only, so the bytes
+# hold on any CPU; engine outputs, which go through libm and SIMD
+# exp/log/sqrt, are left out.
+PINNED_DATA = {
+    "simulate-forward": {
+        "evolution.json": "cebd3480f57979b6d6f807bbffc8e84a46c7bf33b777424d78aefdeab1b3a78d"},
+    "simulate-backward": {
+        "evolution.json": "55f4719f576ed83c87ae860af75e5735a1650f83cd4ba0471c966d666fd8b8bf"},
+    "cft-table": {
+        "table.csv": "7d0b1439df19ecc55d85b0ace6dc8570eeb1089872d8003cca3284965a691028"},
+    "virasoro-check": {
+        "report.json": "51213febaab04e33d89ef2cfe2e97b8b431b73cecfb1b3b556851267066258eb"},
+    "exponents": {
+        "report.json": "84ce01fc339b62f73ed7d54e23fca0d33f6d058497ba16d2d7dd7a1316b1fef2"},
+}
+
+
 @pytest.mark.parametrize("source", ["flags", "config"])
 @pytest.mark.parametrize("sub,flags,file_cfg,flags_digest,config_digest", PINNED,
                          ids=[case[0] for case in PINNED])
@@ -341,6 +428,9 @@ def test_run_directory_and_digest_are_pinned(sub, flags, file_cfg, flags_digest,
     assert manifest["config_digest"] == digest
     canonical = json.dumps(manifest["config"], sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(canonical.encode()).hexdigest() == digest
+    if source == "flags":
+        for name, sha in PINNED_DATA.get(sub, {}).items():
+            assert hashlib.sha256((d / name).read_bytes()).hexdigest() == sha, name
 
 
 # The config keys of each subcommand; each is a flag of the same name.

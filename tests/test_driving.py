@@ -7,7 +7,7 @@ from numpy.random import Philox
 from scipy.special import ndtri
 
 from revsle.driving import (DrivingPath, TimeGrid, explicit_path,
-                            normal_increment, path_to_csv, quadratic_variation,
+                            normal_increment, quadratic_variation,
                             raw_normals, reverse_driving, sample_brownian)
 
 
@@ -184,14 +184,3 @@ def test_values_are_read_only():
 def test_path_length_validation():
     with pytest.raises(ValueError):
         DrivingPath(TimeGrid(1.0, 3), 1.0, np.zeros(3), 0, "explicit")
-
-
-def test_csv_round_shape():
-    p = sample_brownian(TimeGrid(0.5, 4), 2.0, 77)
-    lines = path_to_csv(p).decode().split("\n")
-    assert lines[0] == "t,xi"
-    assert len(lines) == 7 and lines[-1] == ""
-    t0, x0 = lines[1].split(",")
-    assert float(t0) == 0.0 and float(x0) == 0.0
-    # every value comes back bitwise: fields are repr() of Python floats
-    assert [float(line.split(",")[1]) for line in lines[1:-1]] == p.values.tolist()

@@ -282,7 +282,7 @@ def test_trace_requires_forward():
 
 def test_evolution_rejects_unknown_direction():
     with pytest.raises(ValueError):
-        LoewnerEvolution("sideways", np.zeros(3), 0.1, 4.0)
+        LoewnerEvolution("sideways", np.zeros(3), 0.1)
 
 
 # --- points as arrays -----------------------------------------------------------

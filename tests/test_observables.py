@@ -279,13 +279,6 @@ def test_audit_kappa_4_derived_pairs():
     assert pairs == {(-3.0, 3.0), (-3.0, -1.0)}
 
 
-def test_audit_json_shape():
-    payload = audit_one_point_exponents(4.0).to_json()
-    assert payload["kappa"] == 4.0
-    assert payload["proposed_pair"]["satisfies"] is False
-    assert all(c["satisfies"] for c in payload["derived_pairs"])
-
-
 # --- observable construction ----------------------------------------------------------
 
 def test_observable_spec_validation():
