@@ -36,8 +36,8 @@ from . import __version__
 from .cft import coupling_check, kac_dimension, params_from_kappa
 from .driving import TimeGrid, sample_brownian
 from .loewner import evolve_backward, evolve_forward, evolve_wholeplane, trace
-from .montecarlo import (McConfig, run_composed_stats, run_inverse_consistency,
-                         run_martingale_test)
+from .montecarlo import (McConfig, _pool_size, run_composed_stats,
+                         run_inverse_consistency, run_martingale_test)
 from .observables import (ObservableSpec, audit_one_point_exponents,
                           one_point_exponents)
 from .virasoro import null_vector_12, null_vector_21, w_eigenvalue
@@ -320,6 +320,8 @@ def _run(args) -> int:
     cfg, workers = _merged(args, keys)
     t0 = time.time()
     files, code, text = body(cfg, workers)
+    if args.subcommand in _POOLED:   # record the processes that ran
+        workers = _pool_size(int(cfg["samples"]), workers)
     blob = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
     digest = hashlib.sha256(blob).hexdigest()
     root = Path(args.out or os.environ.get(_ENV_OUT, "runs"))

@@ -1,22 +1,20 @@
 """Ensemble engine for martingale and consistency checks of the flows.
 
 Samples are keyed by (master_seed + index) through the counter-based driving
-generator and split into fixed-size batches.  A batch task returns
-per-sample arrays; the calling process reduces each batch with math.fsum
-and counts, in batch order.  The batch is the unit of reduction and its
-layout never depends on the worker count, so a run is bitwise reproducible
-for any parallelism.
+generator, so a sample's values do not depend on which span computed them.
+Span tasks return per-sample arrays, which the calling process joins in
+sample order and reduces at once: counts, and math.fsum, whose exact
+rounding makes a sum independent of order.  A run is bitwise reproducible
+for any worker count and any span layout.
 
-Workers are processes forked for one engine call.  When there are fewer
-batches than workers, each batch is cut into near-equal sub-spans whose
-arrays are joined back before the reduction; a sample's values do not
-depend on which span computed them.
-
-Driving blocks are step-major, shape (n_steps+1, batch), so each step of a
-flow loop reads one contiguous row.
+Spans are chunks of at most BATCH_SIZE samples, each cut into near-equal
+parts when there are fewer chunks than workers; workers are processes forked
+for one engine call.  Driving blocks are step-major, shape (n_steps+1,
+span), so each step of a flow loop reads one contiguous row.
 
 The martingale test runs the one-point walk of ``observables`` on each
-batch's driving block; that module states the stopping rule.
+span's driving block; that module states the stopping rule.  The inverse and
+composed engines run each leg through one slit-step loop, ``_flow``.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ __all__ = [
     "run_composed_stats",
 ]
 
-BATCH_SIZE = 4096   # fixed: part of the reproducibility contract
+BATCH_SIZE = 4096   # samples per task at most: bounds one driving block
 Z_THRESHOLD = 3.0   # per-checkpoint |z| limit for the verdict
 
 
@@ -65,15 +63,13 @@ class McConfig:
     eps_stop: float = 1e-3
 
     def __post_init__(self):
-        if not 0.0 < self.kappa < math.inf:
-            raise ValueError("kappa must be positive and finite")
+        _ensemble_dt(self.kappa, self.horizon, self.n_steps, self.n_samples)
         if self.n_samples < 100:
             raise ValueError("need n_samples >= 100")
         obs = self.observable
         if len(obs.points) != 1 or obs.exponents is None:
             raise ValueError("the martingale test takes one point plus an (a, b) pair")
         _check_one_point(obs.points[0], *obs.exponents, self.eps_stop)
-        TimeGrid(self.horizon, self.n_steps)   # checks horizon and n_steps
 
     def checkpoint_indices(self) -> list[int]:
         stride = max(1, self.n_steps // 5)
@@ -106,17 +102,28 @@ class McReport:
     verdict: bool
 
 
-def _batches(n: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + BATCH_SIZE, n)) for lo in range(0, n, BATCH_SIZE)]
+def _spans(n_samples: int, workers: int) -> list[tuple[int, int]]:
+    """0..n_samples in chunks of BATCH_SIZE, each cut into
+    ceil(workers / chunks) near-equal non-empty spans."""
+    chunks = [(lo, min(lo + BATCH_SIZE, n_samples)) for lo in range(0, n_samples, BATCH_SIZE)]
+    k = -(-workers // len(chunks))
+    cuts = [[lo + (hi - lo) * j // k for j in range(k + 1)] for lo, hi in chunks]
+    return [(a, b) for c in cuts for a, b in zip(c, c[1:]) if a < b]
 
 
-def _sub_spans(lo: int, hi: int, k: int) -> list[tuple[int, int]]:
-    """lo..hi cut into at most k near-equal non-empty spans."""
-    cuts = [lo + (hi - lo) * j // k for j in range(k + 1)]
-    return [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+def _pool_size(n_samples: int, workers: int) -> int:
+    """Processes that run n_samples at the requested worker count: at most
+    one per core and one per span, and 1 (inline) where fork is unavailable
+    or this process runs other threads, whose locks a child could inherit
+    held."""
+    workers = min(workers, os.cpu_count() or 1)   # more would only queue spans
+    if (workers <= 1 or "fork" not in multiprocessing.get_all_start_methods()
+            or threading.active_count() > 1):
+        return 1
+    return min(workers, len(_spans(n_samples, workers)))
 
 
-_task: Optional[Callable] = None   # the engine's batch task, in a forked worker
+_task: Optional[Callable] = None   # the engine's span task, in a forked worker
 
 
 def _set_task(task: Callable) -> None:
@@ -128,29 +135,37 @@ def _run_task(span: tuple[int, int]) -> tuple:
     return _task(*span)
 
 
-def _run_batched(task: Callable, n_samples: int, workers: int) -> list[tuple]:
-    """Per batch, in batch order, the tuple of per-sample arrays (samples on
-    axis 0) that task(lo, hi) returns for it.
+def _run_batched(task: Callable, n_samples: int, workers: int) -> tuple:
+    """The per-sample arrays (samples on axis 0) that task(lo, hi) returns,
+    joined over all spans in sample order.
 
-    With more than one worker, the spans go to a pool of forked processes
-    that lives for this call only.  Under fork the task reaches the children
-    through the initializer without pickling; only (lo, hi) pairs and the
-    result arrays cross.  The work stays inline for one worker, one span or
-    one core, where fork is unavailable, and in a process with other
-    threads, whose locks a forked child could inherit held."""
-    workers = min(workers, os.cpu_count() or 1)   # more would only queue spans
-    batches = _batches(n_samples)
-    units = [_sub_spans(lo, hi, -(-workers // len(batches))) for lo, hi in batches]
-    spans = [s for unit in units for s in unit]
-    procs = min(workers, len(spans))
-    if (procs <= 1 or "fork" not in multiprocessing.get_all_start_methods()
-            or threading.active_count() > 1):
-        return [task(lo, hi) for lo, hi in batches]
-    with ProcessPoolExecutor(procs, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_set_task, initargs=(task,)) as ex:
-        results = ex.map(_run_task, spans)
-        per_unit = [[next(results) for _ in unit] for unit in units]
-    return [tuple(np.concatenate(arrays) for arrays in zip(*parts)) for parts in per_unit]
+    With more than one process, the spans go to a pool of forked processes
+    that lives for this call only.  The task reaches the children through
+    the initializer without pickling; only (lo, hi) pairs and the result
+    arrays cross."""
+    procs = _pool_size(n_samples, workers)
+    spans = _spans(n_samples, procs)
+    if procs == 1:
+        parts = [task(lo, hi) for lo, hi in spans]
+    else:
+        with ProcessPoolExecutor(procs, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_set_task, initargs=(task,)) as ex:
+            parts = list(ex.map(_run_task, spans))
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def _flow(w: np.ndarray, rows, c: float, alive: Optional[np.ndarray] = None) -> np.ndarray:
+    """One slit step w -> x + sqrt((w - x)^2 + c) per driving row x (c = 4 dt
+    forward, -4 dt backward).  With a mask, a forward step first retires the
+    points it swallows, and retired points keep their value."""
+    for x in rows:
+        x = x[:, None]
+        v = w - x
+        if alive is not None and c > 0.0:
+            alive &= ~swallowed(v, c)
+        step = x + slit_sqrt_vec(v * v + c, v.real)
+        w = step if alive is None else np.where(alive, step, w)
+    return w
 
 
 def _xi_block(master_seed: int, lo: int, hi: int, kappa: float,
@@ -196,19 +211,14 @@ def run_martingale_test(config: McConfig, workers: int = 1) -> McReport:
         xi = _xi_block(config.master_seed, lo, hi, config.kappa, dt, config.n_steps)
         return _one_point_walk(xi, 4.0 * dt, y, a, b, config.eps_stop, check_idx)
 
-    # per batch and checkpoint: sum, sum of squares and alive count
-    stats = [[(math.fsum(f), math.fsum(f * f), int(np.count_nonzero(live)))
-              for f, live in zip(frozen_at.T, alive_at.T)]
-             for frozen_at, alive_at in _run_batched(batch, config.n_samples, workers)]
+    frozen_at, alive_at = _run_batched(batch, config.n_samples, workers)
     n = config.n_samples
     checkpoints = []
     all_ok = True
-    for i, k in enumerate(check_idx):
-        total = math.fsum(p[i][0] for p in stats)
-        total_sq = math.fsum(p[i][1] for p in stats)
-        n_alive = sum(p[i][2] for p in stats)
-        mean = total / n
-        var = max((total_sq - n * mean * mean) / (n - 1), 0.0)
+    for k, f, live in zip(check_idx, frozen_at.T, alive_at.T):
+        n_alive = int(np.count_nonzero(live))
+        mean = math.fsum(f) / n
+        var = max((math.fsum(f * f) - n * mean * mean) / (n - 1), 0.0)
         stderr = math.sqrt(var / n)
         if mean == f0:
             z = 0.0
@@ -254,20 +264,14 @@ def run_inverse_consistency(kappa: float, horizon: float, n_steps: int,
 
     def batch(lo: int, hi: int):
         xi = _xi_block(master_seed, lo, hi, kappa, dt, n_steps)
-        w = np.broadcast_to(pts, (hi - lo, pts.size)).astype(np.complex128).copy()
-        for k in range(n_steps, 0, -1):    # backward chain, reversed driving
-            x = xi[k][:, None]
-            v = w - x
-            w = x + slit_sqrt_vec(v * v - four_dt, v.real)
-        for k in range(n_steps):           # forward chain, original driving
-            x = xi[k][:, None]
-            v = w - x
-            w = x + slit_sqrt_vec(v * v + four_dt, v.real)
+        w = np.tile(pts, (hi - lo, 1))
+        w = _flow(w, xi[n_steps:0:-1], -four_dt)   # backward chain, reversed driving
+        w = _flow(w, xi[:n_steps], four_dt)        # forward chain, original driving
         return (np.max(np.abs(w - pts), axis=1),)
 
-    parts = _run_batched(batch, n_samples, workers)
-    sample_errors = tuple(float(e) for (errors,) in parts for e in errors)
-    max_error = float(np.max(sample_errors))   # NaN-propagating, unlike max()
+    (errors,) = _run_batched(batch, n_samples, workers)
+    sample_errors = tuple(errors.tolist())
+    max_error = float(np.max(errors))   # NaN-propagating, unlike max()
     mean_error = math.fsum(sample_errors) / n_samples
     bound = _BOUND_CONSTANT * math.sqrt(horizon / n_steps)
     return InverseConsistencyReport(kappa, horizon, n_steps, n_samples,
@@ -308,49 +312,30 @@ def run_composed_stats(kappa: float, horizon: float, n_steps: int, n_samples: in
     four_dt = 4.0 * dt
 
     def batch(lo: int, hi: int):
-        m = hi - lo
         if shared_driving:
-            xi_f = _xi_block(master_seed, lo, hi, kappa, dt, n_steps)
-            xi_b = xi_f
+            xi_f = xi_b = _xi_block(master_seed, lo, hi, kappa, dt, n_steps)
         else:
             # sample i draws seeds 2*master_seed + 2i (forward) and + 2i+1 (backward)
             xi_all = _xi_block(2 * master_seed, 2 * lo, 2 * hi, kappa, dt, n_steps)
-            xi_f = xi_all[:, 0::2]
-            xi_b = xi_all[:, 1::2]
-        w = np.broadcast_to(pts, (m, pts.size)).astype(np.complex128).copy()
+            xi_f, xi_b = xi_all[:, 0::2], xi_all[:, 1::2]
+        w = np.tile(pts, (hi - lo, 1))
         alive = np.ones(w.shape, dtype=bool)
-        for k in range(n_steps):           # forward leg (may swallow)
-            x = xi_f[k][:, None]
-            v = w - x
-            alive &= ~swallowed(v, four_dt)
-            step = x + slit_sqrt_vec(v * v + four_dt, v.real)
-            w = np.where(alive, step, w)
-        for k in range(n_steps):           # backward leg
-            x = xi_b[k][:, None]
-            v = w - x
-            step = x + slit_sqrt_vec(v * v - four_dt, v.real)
-            w = np.where(alive, step, w)
+        w = _flow(w, xi_f[:n_steps], four_dt, alive)    # forward leg (may swallow)
+        w = _flow(w, xi_b[:n_steps], -four_dt, alive)   # backward leg
         return w, alive
 
-    def batch_stats(w, alive):
-        im = w.imag[alive]
-        re = w.real[alive]
-        # a non-finite image is a violation: it is not known to lie in H
-        bad = ~np.isfinite(w[alive]) | (im < -1e-12)
-        return (int(alive.sum()), int(np.count_nonzero(bad)),
-                math.fsum(re), math.fsum(im), math.fsum(im * im))
-
-    parts = [batch_stats(*p) for p in _run_batched(batch, n_samples, workers)]
-    n_alive = sum(p[0] for p in parts)
-    violations = sum(p[1] for p in parts)
-    total = n_samples * pts.size
+    w, alive = _run_batched(batch, n_samples, workers)
+    image = w[alive]
+    n_alive = image.size
+    # a non-finite image is a violation: it is not known to lie in H
+    violations = int(np.count_nonzero(~np.isfinite(image) | (image.imag < -1e-12)))
     if n_alive:
-        mean_re = math.fsum(p[2] for p in parts) / n_alive
-        mean_im = math.fsum(p[3] for p in parts) / n_alive
-        sq = math.fsum(p[4] for p in parts)
-        spread = math.sqrt(max(sq / n_alive - mean_im * mean_im, 0.0))
+        mean_re = math.fsum(image.real) / n_alive
+        mean_im = math.fsum(image.imag) / n_alive
+        mean_sq = math.fsum(image.imag * image.imag) / n_alive
+        spread = math.sqrt(max(mean_sq - mean_im * mean_im, 0.0))
     else:
         mean_re = mean_im = spread = float("nan")
-    return ComposedReport(kappa, horizon, n_steps, n_samples, master_seed,
-                          shared_driving, pts.size, n_alive / total, violations,
+    return ComposedReport(kappa, horizon, n_steps, n_samples, master_seed, shared_driving,
+                          pts.size, n_alive / (n_samples * pts.size), violations,
                           complex(mean_re, mean_im), spread)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple, Union
 
-from .cft import params_from_kappa
+from .cft import CftParams, kac_dimension, params_from_kappa
 
 __all__ = [
     "MAX_LEVEL",
@@ -187,26 +187,23 @@ def is_level2_singular(n: VermaVector) -> bool:
     return l_action(1, n).is_zero() and l_action(2, n).is_zero()
 
 
-def _exact_params(kappa: Rational, sector: str):
+def _exact_params(kappa: Rational, sector: str) -> CftParams:
     if isinstance(kappa, float):
         raise TypeError("exact module: kappa must be int or Fraction, not float")
-    p = params_from_kappa(Fraction(kappa), sector)
-    return p.b_squared, p.c
+    return params_from_kappa(Fraction(kappa), sector)
 
 
 def null_vector_12(kappa: Rational, sector: str) -> tuple[VermaVector, bool]:
     """(b^2 L_{-1}^2 + L_{-2}) |h_{(1,2)}> and whether it is singular."""
-    b2, c = _exact_params(kappa, sector)
-    h = -Fraction(1, 2) - 3 / (4 * b2)   # h_{(1,2)}
-    n = level2_candidate(b2, h, c)
+    p = _exact_params(kappa, sector)
+    n = level2_candidate(p.b_squared, kac_dimension(p, 1, 2), p.c)
     return n, is_level2_singular(n)
 
 
 def null_vector_21(kappa: Rational, sector: str) -> tuple[VermaVector, bool]:
     """((1/b^2) L_{-1}^2 + L_{-2}) |h_{(2,1)}> and whether it is singular."""
-    b2, c = _exact_params(kappa, sector)
-    h = -Fraction(1, 2) - 3 * b2 / 4     # h_{(2,1)}
-    n = level2_candidate(1 / b2, h, c)
+    p = _exact_params(kappa, sector)
+    n = level2_candidate(1 / p.b_squared, kac_dimension(p, 2, 1), p.c)
     return n, is_level2_singular(n)
 
 

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import multiprocessing
+import os
 import threading
 import types
 
@@ -257,19 +258,36 @@ def test_nonfinite_sample_flips_exit_code(sub, tmp_path, nan_in_sample_1, capsys
     ("composed", ["report.json"]),
 ])
 def test_manifest_records_workers_outside_the_digest(sub, files, tmp_path, capsys):
-    # 4100 samples make two batches, so the workers really split the work
+    # 4100 samples make two chunks, so the workers really split the work;
+    # the manifest records the processes that ran, at most one per core
     argv = [sub, "--kappa", "4", "--horizon", "0.05", "--steps", "5",
             "--samples", "4100", "--seed", "2"]
+    forks = "fork" in multiprocessing.get_all_start_methods()
     dirs = {}
     for workers in (1, 3):
         run(tmp_path / str(workers), *argv, "--workers", str(workers))
         dirs[workers] = only_run_dir(tmp_path / str(workers), sub + "-")
         manifest = json.loads((dirs[workers] / "manifest.json").read_text())
-        assert manifest["workers"] == workers
+        assert manifest["workers"] == (min(workers, os.cpu_count() or 1) if forks else 1)
         assert manifest["config"]["workers"] is None
     assert dirs[1].name == dirs[3].name
     for name in files:
         assert (dirs[1] / name).read_bytes() == (dirs[3] / name).read_bytes()
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods() or (os.cpu_count() or 1) < 2,
+    reason="the worker pool needs fork and two cores")
+@pytest.mark.parametrize("argv,recorded", [
+    (["inverse-check", "--samples", "100", "--steps", "20", "--workers", "8"],
+     min(8, os.cpu_count() or 1)),
+    (["inverse-check", "--samples", "1", "--steps", "20", "--workers", "2"], 1),   # one span
+    (["trace", "--steps", "20", "--workers", "2"], 1),   # serial
+], ids=["pooled", "one-sample", "serial"])
+def test_manifest_records_the_processes_that_ran(argv, recorded, tmp_path, capsys):
+    assert run(tmp_path, *argv) == 0
+    manifest = json.loads((only_run_dir(tmp_path, argv[0] + "-") / "manifest.json").read_text())
+    assert manifest["workers"] == recorded
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])

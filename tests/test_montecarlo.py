@@ -9,7 +9,8 @@ import pytest
 
 from revsle.driving import TimeGrid, sample_brownian
 from revsle.loewner import evolve_backward
-from revsle.montecarlo import (BATCH_SIZE, McConfig, _run_batched, _xi_block,
+import revsle.montecarlo
+from revsle.montecarlo import (BATCH_SIZE, McConfig, _pool_size, _run_batched, _xi_block,
                                run_composed_stats, run_inverse_consistency,
                                run_martingale_test)
 from revsle.observables import ObservableSpec, eval_one_point
@@ -81,7 +82,7 @@ def test_xi_block_composed_layout():
         assert np.array_equal(xi[:, 1::2][:, j], bwd)
 
 
-# 4100 samples make two batches, so four workers (capped at the core count)
+# 4100 samples make two chunks, so four workers (capped at the core count)
 # fork a pool of worker processes wherever there are two cores
 @pytest.mark.parametrize("engine", [
     lambda: run_martingale_test(McConfig(kappa=4.0, horizon=0.05, n_steps=3, n_samples=4100,
@@ -109,18 +110,16 @@ def pid_task(lo, hi):
 @can_fork
 @pytest.mark.parametrize("n", [1, 3, 1000, 4097, 9000])
 def test_run_batched_forks_and_keeps_batch_order(n):
-    inline = _run_batched(pid_task, n, 1)
-    pooled = _run_batched(pid_task, n, 2)
-    assert len(pooled) == len(inline) == -(-n // BATCH_SIZE)
-    for (idx, _), (idx_inline, pids_inline) in zip(pooled, inline):
-        assert np.array_equal(idx, idx_inline)
-        assert set(pids_inline) == {os.getpid()}
-    pids = set(np.concatenate([p for _, p in pooled]).tolist())
+    # one tuple of per-sample arrays, joined over all spans in sample order
+    idx_inline, pids_inline = _run_batched(pid_task, n, 1)
+    idx, pids = _run_batched(pid_task, n, 2)
+    assert np.array_equal(idx_inline, np.arange(n)) and np.array_equal(idx, np.arange(n))
+    assert set(pids_inline.tolist()) == {os.getpid()}
     if n == 1:
-        assert pids == {os.getpid()}   # one span: nothing to share, run inline
+        assert set(pids.tolist()) == {os.getpid()}   # one span: nothing to share, run inline
     else:
-        # one batch is cut into two spans, so even n = 3 runs in two children
-        assert os.getpid() not in pids and len(pids) == 2
+        # one chunk is cut into two spans, so even n = 3 runs in two children
+        assert os.getpid() not in set(pids.tolist()) and len(set(pids.tolist())) == 2
 
 
 @pytest.mark.parametrize("patch", ["no-fork", "one-core", "other-thread"])
@@ -134,14 +133,15 @@ def test_run_batched_stays_inline_where_it_cannot_fork_safely(patch, monkeypatch
     if patch == "other-thread":
         other.start()
     try:
-        parts = _run_batched(pid_task, 5000, 4)
+        assert _pool_size(5000, 4) == 1
+        idx, pids = _run_batched(pid_task, 5000, 4)
     finally:
         release.set()
         if other.is_alive():
             other.join(60)
     assert not other.is_alive()
-    assert [p[0][0] for p in parts] == [0, BATCH_SIZE]
-    assert set(np.concatenate([p[1] for p in parts]).tolist()) == {os.getpid()}
+    assert np.array_equal(idx, np.arange(5000))
+    assert set(pids.tolist()) == {os.getpid()}
 
 
 def failing_task(lo, hi):
@@ -160,7 +160,7 @@ def test_run_batched_reraises_and_leaves_nothing_running(n):
     assert threading.active_count() == before
 
 
-# 1000 samples are one batch, cut into spans; 9000 end in a ragged batch
+# 1000 samples are one chunk, cut into spans; 9000 end in a ragged chunk
 @pytest.mark.parametrize("n", [1000, 9000])
 @pytest.mark.parametrize("engine", [
     lambda n, w: run_martingale_test(McConfig(kappa=4.0, horizon=0.05, n_steps=4, n_samples=n,
@@ -174,6 +174,20 @@ def test_engine_bytes_identical_across_worker_counts(engine, n):
     # repr covers every field, per-sample errors included, and tells -0.0
     # from 0.0
     assert len({repr(engine(n, w)) for w in (1, 2, 3)}) == 1
+
+
+@pytest.mark.parametrize("engine", [
+    lambda: run_martingale_test(McConfig(kappa=4.0, horizon=0.05, n_steps=50, n_samples=9000,
+                                         master_seed=123456789, observable=DRIFT_FREE),
+                                workers=2),
+    lambda: run_composed_stats(4.0, 0.25, 100, 9000, master_seed=5, workers=2),
+], ids=["martingale", "composed"])
+def test_engine_bytes_do_not_depend_on_the_chunk_size(engine, monkeypatch):
+    # every sample is reduced in one exactly rounded sum, so moving the chunk
+    # boundaries (3 chunks of 4096 against 9 of 1000) keeps every byte
+    default = repr(engine())
+    monkeypatch.setattr(revsle.montecarlo, "BATCH_SIZE", 1000)
+    assert repr(engine()) == default
 
 
 def test_constant_observable_mean_is_exactly_one():
@@ -196,15 +210,18 @@ def test_constant_observable_mean_is_exactly_one():
 # mean in its last digit
 @pytest.mark.parametrize("kappa,horizon,n_steps,eps_stop",
                          [(4.0, 0.2, 40, 1e-3), (6.0, 0.5, 25, 0.05)])
-def test_engine_is_eval_one_point_per_sample(kappa, horizon, n_steps, eps_stop):
+def test_engine_is_eval_one_point_per_sample(kappa, horizon, n_steps, eps_stop, monkeypatch):
     cfg = McConfig(kappa=kappa, horizon=horizon, n_steps=n_steps, n_samples=300,
                    master_seed=9, observable=DRIFT_FREE, eps_stop=eps_stop)
-    last = run_martingale_test(cfg).checkpoints[-1]
     grid = TimeGrid(horizon, n_steps)
     outs = [eval_one_point(evolve_backward(sample_brownian(grid, kappa, 9 + i)),
                            1.0, -3.0, 3.0, eps_stop=eps_stop) for i in range(300)]
-    assert math.fsum(o.value for o in outs) / 300 == last.mean
-    assert sum(o.stopped for o in outs) == last.n_stopped > 0
+    # one chunk, then three chunks of at most 128 samples
+    for batch_size in (BATCH_SIZE, 128):
+        monkeypatch.setattr(revsle.montecarlo, "BATCH_SIZE", batch_size)
+        last = run_martingale_test(cfg).checkpoints[-1]
+        assert math.fsum(o.value for o in outs) / 300 == last.mean
+        assert sum(o.stopped for o in outs) == last.n_stopped > 0
 
 
 def test_drift_free_pair_passes():
