@@ -4,7 +4,8 @@ This is the one module that knows file formats.  The library returns plain
 data (dataclasses, floats, arrays); every CSV goes through ``_csv`` and
 every JSON file through ``_json_bytes``.
 
-Configs come from flags or a JSON file (--config; explicit flags win).
+Configs come from flags or a JSON file (--config; explicit flags win); a
+file value is parsed by its key's flag type, so both digest alike.
 Each run writes its data files plus a manifest into one directory named by
 the subcommand and a digest of the canonical config, so identical configs
 land in the same place with byte-identical data; timestamps live only in
@@ -286,6 +287,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # --- the run ---------------------------------------------------------------
 
+def _file_value(key: str, spec: _Key, value):
+    """A config-file value parsed by its key's type, as its flag would be.
+    An int, float or bool key takes only a JSON value of that kind that the
+    type leaves unchanged (4 for a float key becomes 4.0; 100.7 for an int
+    key, true for a numeric key and "yes" for a switch are usage errors),
+    and null only where the default is null.  Other keys take the value as
+    it is."""
+    if spec.type not in (int, float, bool) or (value is None and spec.default is None):
+        return value
+    try:
+        parsed = spec.type(value)
+    except (TypeError, ValueError, OverflowError):
+        same = False
+    else:
+        same = parsed == value or (parsed != parsed and value != value)   # NaN stays NaN
+    if not same or isinstance(value, bool) != (spec.type is bool):
+        raise SystemExit(f"config key {key!r} must be of type {spec.type.__name__}, "
+                         f"got {value!r}")
+    return parsed
+
+
 def _merged(args, keys: dict[str, _Key]) -> tuple[dict, int]:
     """Resolve config values (explicit flag > config file > default) and the
     worker count (flag > config file > all cores; 1 for serial subcommands)."""
@@ -303,14 +325,21 @@ def _merged(args, keys: dict[str, _Key]) -> tuple[dict, int]:
     cfg = {}
     for key, spec in keys.items():
         flag = getattr(args, key.replace("-", "_"))
-        cfg[key] = flag if flag is not None else file_cfg.get(key, spec.default)
-    workers = args.workers if args.workers is not None else file_cfg.get("workers")
-    if workers is not None and int(workers) < 1:
+        if flag is not None:
+            cfg[key] = flag
+        elif key in file_cfg:
+            cfg[key] = _file_value(key, spec, file_cfg[key])
+        else:
+            cfg[key] = spec.default
+    workers = args.workers
+    if workers is None and "workers" in file_cfg:
+        workers = _file_value("workers", _Key(int, None), file_cfg["workers"])
+    if workers is not None and workers < 1:
         raise SystemExit(f"workers must be >= 1, got {workers}")
     if not pooled:
         return cfg, 1
     cfg["workers"] = None
-    return cfg, int(workers) if workers is not None else os.cpu_count() or 1
+    return cfg, workers if workers is not None else os.cpu_count() or 1
 
 
 def _run(args) -> int:

@@ -14,11 +14,12 @@ This recipe is part of the reproducibility contract: identical
 (grid, kappa, seed) always produce bitwise-identical paths, and the raw
 normals do not depend on kappa (so paths scale exactly with sqrt(kappa)).
 
-Each thread keeps one Philox generator and re-keys it per call by setting
-its state (key ``seed mod 2**128``, counter at the requested block, buffer
-empty).  This yields the same words as a fresh ``Philox(key=seed)``, whose
-construction also draws a SeedSequence from OS entropy and costs more than
-the words themselves, and it leaves no state from one call to the next.
+Each thread keeps one Philox generator and one state dict.  A call re-keys
+the generator by setting only that dict's key (``seed mod 2**128``) and
+counter (the requested block) words and assigning it, buffer empty.  This
+yields the same words as a fresh ``Philox(key=seed)``, whose construction
+also draws a SeedSequence from OS entropy and costs more than the words
+themselves, and it leaves no state from one call to the next.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ __all__ = [
 
 _KEY_MOD = 1 << 128  # Philox key width
 _WORD = (1 << 64) - 1
-_local = threading.local()  # .gen: this thread's re-keyable Philox
+_local = threading.local()  # .gen: this thread's re-keyable Philox; .state: its state dict
 
 
 @dataclass(frozen=True)
@@ -113,12 +114,16 @@ def _normals(seed: int, n: int, block: int = 0) -> np.ndarray:
     gen = getattr(_local, "gen", None)
     if gen is None:
         gen = _local.gen = Philox(0)
+        _local.state = {"bit_generator": "Philox",
+                        "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+                        "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+                        "has_uint32": 0, "uinteger": 0}
+    words = _local.state["state"]
     key = seed % _KEY_MOD
-    gen.state = {"bit_generator": "Philox",
-                 "state": {"counter": [(block >> s) & _WORD for s in (0, 64, 128, 192)],
-                           "key": [key & _WORD, key >> 64]},
-                 "buffer": [0, 0, 0, 0], "buffer_pos": 4,
-                 "has_uint32": 0, "uinteger": 0}
+    words["counter"] = [block & _WORD, (block >> 64) & _WORD,
+                        (block >> 128) & _WORD, (block >> 192) & _WORD]
+    words["key"] = [key & _WORD, key >> 64]
+    gen.state = _local.state
     raw = gen.random_raw(n)
     raw >>= np.uint64(11)
     u = raw.astype(np.float64)

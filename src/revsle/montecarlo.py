@@ -10,7 +10,8 @@ for any worker count and any span layout.
 Spans are chunks of at most BATCH_SIZE samples, each cut into near-equal
 parts when there are fewer chunks than workers; workers are processes forked
 for one engine call.  Driving blocks are step-major, shape (n_steps+1,
-span), so each step of a flow loop reads one contiguous row.
+span), so each step of a flow loop reads one contiguous row; each is built
+in place, row by row, and is the only (n_steps+1, span) array of its span.
 
 The martingale test runs the one-point walk of ``observables`` on each
 span's driving block; that module states the stopping rule.  The inverse and
@@ -171,18 +172,21 @@ def _flow(w: np.ndarray, rows, c: float, alive: Optional[np.ndarray] = None) -> 
 def _xi_block(master_seed: int, lo: int, hi: int, kappa: float,
               dt: float, n_steps: int) -> np.ndarray:
     """Driving values for samples lo..hi-1, shape (n_steps+1, hi-lo).
-    Column i reproduces sample_brownian(grid, kappa, master_seed + lo + i)."""
+    Column i reproduces sample_brownian(grid, kappa, master_seed + lo + i).
+
+    The block is built step-major in place and is the only
+    (n_steps+1, span) array of the span: the row-by-row running sum makes
+    the same additions, in the same order, as sample_brownian's cumulative
+    sum."""
     b = hi - lo
-    rows = np.empty((b, n_steps + 1))
-    rows[:, 0] = 0.0
-    z = rows[:, 1:]
+    xi = np.empty((n_steps + 1, b))
+    xi[0] = 0.0
     for i in range(b):
-        z[i] = raw_normals(master_seed + lo + i, n_steps)
-    z *= np.sqrt(kappa * dt)
-    # per-sample cumsum in place, as in sample_brownian, then one
-    # contiguous transpose
-    np.cumsum(z, axis=1, out=z)
-    return np.ascontiguousarray(rows.T)
+        xi[1:, i] = raw_normals(master_seed + lo + i, n_steps)
+    xi[1:] *= np.sqrt(kappa * dt)
+    for k in range(2, n_steps + 1):
+        xi[k] += xi[k - 1]
+    return xi
 
 
 def _ensemble_dt(kappa: float, horizon: float, n_steps: int, n_samples: int) -> float:

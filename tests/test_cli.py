@@ -370,11 +370,52 @@ def test_config_must_be_a_json_object(payload, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+# Config-file values that their key's type would change; "workers" too.
+BAD_FILE_VALUES = {
+    "int-key-fraction": ("inverse-check", {"samples": 100.7}),
+    "int-key-string": ("inverse-check", {"samples": "100"}),
+    "int-key-null": ("inverse-check", {"samples": None}),
+    "float-key-bool": ("inverse-check", {"kappa": True}),
+    "int-key-bool": ("martingale-test", {"steps": True}),
+    "float-key-list": ("inverse-check", {"horizon": [1]}),
+    "switch-string": ("composed", {"shared-driving": "yes"}),
+    "switch-int": ("composed", {"shared-driving": 1}),
+    "workers-fraction": ("inverse-check", {"workers": 2.5}),
+    "workers-bool": ("inverse-check", {"workers": True}),
+}
+
+
+@pytest.mark.parametrize("sub,file_cfg", BAD_FILE_VALUES.values(), ids=BAD_FILE_VALUES.keys())
+def test_config_value_its_type_changes_is_usage_error(sub, file_cfg, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"samples": 2, "steps": 5, **file_cfg}))
+    assert run(tmp_path / "out", sub, "--config", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().split("\n")) == 1 and next(iter(file_cfg)) in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("file_cfg,flags", [
+    ({"samples": 100}, ["--samples", "100"]),
+    ({"samples": 100.0}, ["--samples", "100"]),   # an integral float is the int
+    ({"kappa": 4}, ["--kappa", "4"]),
+])
+def test_config_file_and_flags_share_the_run_directory(file_cfg, flags, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"steps": 5, **file_cfg}))
+    assert run(tmp_path / "file", "inverse-check", "--config", str(cfg)) == 0
+    assert run(tmp_path / "flags", "inverse-check", "--steps", "5", *flags) == 0
+    d = only_run_dir(tmp_path / "file", "inverse-check-")
+    assert d.name == only_run_dir(tmp_path / "flags", "inverse-check-").name
+    assert json.loads((d / "manifest.json").read_text())["config"] == json.loads(
+        (tmp_path / "flags" / d.name / "manifest.json").read_text())["config"]
+
+
 # One small config per subcommand, given by flags and by a --config file,
 # with its digest.  Run directories of earlier runs are found by this digest,
 # so it must not drift.  The manifest's config must hash to the pinned
-# digest, so it is pinned too (config-file values enter it verbatim, ints
-# stay ints).
+# digest, so it is pinned too (config-file values enter it parsed by their
+# key's type: the int 4 for a float key enters as 4.0).
 PINNED = [
     ("simulate-forward", ["--kappa", "2", "--steps", "10"], {"seed": 9, "steps": 5},
      "5cf4769cee3401d53d4644c77a2cecb9e42afbd588340af06aea31561d2b795e",
@@ -384,7 +425,7 @@ PINNED = [
      "edda639a5d4e675d25cc27a59416ba5c04b7151f8f185ed615f22131f31e06c9"),
     ("trace", ["--steps", "10", "--seed", "3"], {"kappa": 4, "horizon": 0.5, "steps": 12},
      "9182671a3a70dc5ffaded7878bb7e51593027720ce1f832c02c6b6c7de88cc60",
-     "9fb66b0bfeabe762225e29dbb9f71ad8a475729deff13f69426cdae5c61110b2"),
+     "139eedc19ccae5208f45a85df11ffba3cb1e50cb4481a7d103a7f95a158b4932"),
     ("radial", ["--steps", "10", "--z0", "0.5,2"], {"z0": [1, 1], "steps": 8},
      "faf15c4a974dbb576d07589bbe3ead5894cc5ed54f9513895a469cfed8185934",
      "fa20a032a085c902ba1a60d5d86af018f4e542e43b9c2a51f953f676bbf86ac5"),
@@ -404,7 +445,7 @@ PINNED = [
     ("inverse-check", ["--samples", "3", "--steps", "10"],
      {"kappa": 2, "steps": 8, "samples": 2, "seed": 4},
      "3dd212148fe2e3703788db4b44373a7227bf068a45f6cd7a10b832f28fa15052",
-     "d0d3a242e3a12b9196f57dbc4b9f4391d2ac674dacf38b4e2b9c06f8d0e9d093"),
+     "537ef89acdeeccf10eb20fa176f2823e967aa60680ac1ef93eee26778c3c2908"),
     ("composed", ["--samples", "3", "--steps", "10", "--shared-driving"],
      {"horizon": 0.1, "steps": 6, "samples": 2, "shared-driving": True},
      "b5927a53395620da77950299419decf8c7466cd78e195c7946d5665c764451e1",

@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,13 +62,27 @@ def test_default_checkpoints_end_at_horizon():
     assert idx[-1] == 100
 
 
-@pytest.mark.parametrize("master,lo,hi", [(0, 0, 4), (7, 3, 10), (2**64, 4093, 4099)])
-def test_xi_block_columns_are_sampled_paths(master, lo, hi):
-    grid = TimeGrid(0.3, 17)
+# 1, 2 and 17 steps run the row-by-row running sum zero, one and many times
+@pytest.mark.parametrize("n_steps", [1, 2, 17])
+@pytest.mark.parametrize("master,lo,hi", [(0, 0, 4), (7, 3, 10), (2**64, 4093, 4099),
+                                          (5, 8, 9)])   # the last: a one-sample span
+def test_xi_block_columns_are_sampled_paths(master, lo, hi, n_steps):
+    grid = TimeGrid(0.3, n_steps)
     xi = _xi_block(master, lo, hi, 2.5, grid.dt, grid.n_steps)
-    assert xi.shape == (18, hi - lo) and xi.flags.c_contiguous
+    assert xi.shape == (n_steps + 1, hi - lo) and xi.flags.c_contiguous
     for i in range(hi - lo):
         assert np.array_equal(xi[:, i], sample_brownian(grid, 2.5, master + lo + i).values)
+
+
+def test_xi_block_is_the_only_block_of_its_span():
+    # built in place: no sample-major staging block or transposed copy
+    tracemalloc.start()
+    try:
+        xi = _xi_block(3, 0, 512, 4.0, 0.01, 200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * xi.nbytes
 
 
 def test_xi_block_composed_layout():
