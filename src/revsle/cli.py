@@ -347,7 +347,7 @@ def _run(args) -> int:
     files, the manifest last, and print."""
     body, keys = _COMMANDS[args.subcommand]
     cfg, workers = _merged(args, keys)
-    t0 = time.time()
+    created, t0 = time.time(), time.perf_counter()   # the wall clock may step
     files, code, text = body(cfg, workers)
     if args.subcommand in _POOLED:   # record the processes that ran
         workers = _pool_size(int(cfg["samples"]), workers)
@@ -367,8 +367,8 @@ def _run(args) -> int:
         "version": __version__,
         "master_seed": cfg.get("seed"),
         "outputs": list(files),
-        "duration_seconds": time.time() - t0,
-        "created_unix": t0,
+        "duration_seconds": time.perf_counter() - t0,
+        "created_unix": created,
     }
     (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     print(run_dir if text is None else text)

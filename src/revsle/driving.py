@@ -126,8 +126,7 @@ def _normals(seed: int, n: int, block: int = 0) -> np.ndarray:
     gen.state = _local.state
     raw = gen.random_raw(n)
     raw >>= np.uint64(11)
-    u = raw.astype(np.float64)
-    u += 0.5
+    u = np.add(raw, 0.5)   # float64(raw) + 0.5, exact below 2**53
     u *= 2.0**-53
     return ndtri(u, out=u)
 

@@ -10,8 +10,9 @@ for any worker count and any span layout.
 Spans are chunks of at most BATCH_SIZE samples, each cut into near-equal
 parts when there are fewer chunks than workers; workers are processes forked
 for one engine call.  Driving blocks are step-major, shape (n_steps+1,
-span), so each step of a flow loop reads one contiguous row; each is built
-in place, row by row, and is the only (n_steps+1, span) array of its span.
+span), so each step of a flow loop reads one contiguous row; each is filled
+through a small sample-major stage, a few samples at a time, and is the
+only (n_steps+1, span) array of its span.
 
 The martingale test runs the one-point walk of ``observables`` on each
 span's driving block; that module states the stopping rule.  The inverse and
@@ -47,6 +48,7 @@ __all__ = [
 ]
 
 BATCH_SIZE = 4096   # samples per task at most: bounds one driving block
+_STAGE = 32         # samples per sample-major stage of a driving block
 Z_THRESHOLD = 3.0   # per-checkpoint |z| limit for the verdict
 
 
@@ -174,18 +176,22 @@ def _xi_block(master_seed: int, lo: int, hi: int, kappa: float,
     """Driving values for samples lo..hi-1, shape (n_steps+1, hi-lo).
     Column i reproduces sample_brownian(grid, kappa, master_seed + lo + i).
 
-    The block is built step-major in place and is the only
-    (n_steps+1, span) array of the span: the row-by-row running sum makes
-    the same additions, in the same order, as sample_brownian's cumulative
-    sum."""
+    Groups of at most _STAGE samples are drawn, scaled and summed in one
+    small sample-major stage, with the operations of sample_brownian in the
+    same order, and the stage's transpose is copied into the block's
+    columns.  The block is the only (n_steps+1, span) array of the span."""
     b = hi - lo
     xi = np.empty((n_steps + 1, b))
     xi[0] = 0.0
-    for i in range(b):
-        xi[1:, i] = raw_normals(master_seed + lo + i, n_steps)
-    xi[1:] *= np.sqrt(kappa * dt)
-    for k in range(2, n_steps + 1):
-        xi[k] += xi[k - 1]
+    stage = np.empty((min(b, _STAGE), n_steps))
+    scale = np.sqrt(kappa * dt)
+    for s in range(0, b, _STAGE):
+        group = stage[:min(_STAGE, b - s)]
+        for j, row in enumerate(group):
+            row[:] = raw_normals(master_seed + lo + s + j, n_steps)
+        group *= scale
+        np.cumsum(group, axis=1, out=group)
+        xi[1:, s:s + len(group)] = group.T
     return xi
 
 

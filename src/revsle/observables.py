@@ -30,8 +30,10 @@ optional stopping: a sample freezes at the last step where X = g(y) - xi
 both exceeds eps_stop and can take another real step (X^2 > 4 dt; the
 discrete scheme would otherwise leave the real axis).  Frozen samples keep
 contributing their stopped value, so the ensemble mean of a drift-free
-observable stays at its t=0 value.  The martingale engine runs the walk on
-a block of drivings; :func:`eval_one_point` is its single-sample case.
+observable stays at its t=0 value.  The walk keeps a frozen value as its two
+log factors, log g'(y) and log X, and exponentiates them only at the steps
+it records.  The martingale engine runs the walk on a block of drivings;
+:func:`eval_one_point` is its single-sample case.
 """
 
 from __future__ import annotations
@@ -218,27 +220,34 @@ def _one_point_walk(xi: np.ndarray, four_dt: float, y: float, a: float, b: float
     :func:`_check_one_point`."""
     m = xi.shape[1]
     w = np.full(m, float(y))
-    log_gp = np.zeros(m)
     alive = np.ones(m, dtype=bool)
-    frozen = np.full(m, math.nan)   # step 0 sets every value
-    frozen_at, alive_at = [], []
-    for k in range(xi.shape[0]):
-        x = w - xi[k]
-        # below eps_stop the sample froze at its previous value; above it
-        # the state is evaluable even when no further real step exists
-        above = alive & (x > eps_stop)
-        log_x = np.log(np.where(above, x, 1.0))
-        frozen = np.where(above, np.exp(a * log_gp + b * log_x), frozen)
-        x2 = x * x
-        alive = above & (x2 > four_dt)
-        if k in record:
-            frozen_at.append(frozen)
-            alive_at.append(alive)
-        if k + 1 < xi.shape[0]:
-            root = np.sqrt(np.where(alive, x2 - four_dt, 1.0))
-            w = np.where(alive, xi[k] + root, w)
-            log_gp = np.where(alive, log_gp + log_x - np.log(root), log_gp)
-    return np.stack(frozen_at, axis=1), np.stack(alive_at, axis=1)
+    # log g' and log X at each sample's last evaluable step (step 0 sets
+    # both), and log g' at the next step for the samples that take it
+    log_gp = np.zeros(m)
+    log_x = np.full(m, math.nan)
+    next_gp = np.zeros(m)
+    exponent_at, alive_at = [], []
+    # a sample that cannot step never steps again: the logs, roots and
+    # positions computed for it are unused
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(xi.shape[0]):
+            x = w - xi[k]
+            # below eps_stop the sample froze at its previous value; above it
+            # the state is evaluable even when no further real step exists
+            above = alive & (x > eps_stop)
+            np.copyto(log_gp, next_gp, where=above)
+            lx = np.log(x)
+            np.copyto(log_x, lx, where=above)
+            x2 = x * x
+            alive = above & (x2 > four_dt)
+            if k in record:
+                exponent_at.append(a * log_gp + b * log_x)
+                alive_at.append(alive)
+            if k + 1 < xi.shape[0]:
+                root = np.sqrt(x2 - four_dt)
+                w = xi[k] + root
+                next_gp = log_gp + lx - np.log(root)
+    return np.exp(np.stack(exponent_at, axis=1)), np.stack(alive_at, axis=1)
 
 
 def eval_one_point(evo: LoewnerEvolution, y: float, a: float, b: float,

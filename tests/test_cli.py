@@ -7,6 +7,7 @@ import math
 import multiprocessing
 import os
 import threading
+import time
 import types
 
 import pytest
@@ -273,6 +274,18 @@ def test_manifest_records_workers_outside_the_digest(sub, files, tmp_path, capsy
     assert dirs[1].name == dirs[3].name
     for name in files:
         assert (dirs[1] / name).read_bytes() == (dirs[3] / name).read_bytes()
+
+
+def test_manifest_duration_survives_a_wall_clock_step(tmp_path, monkeypatch, capsys):
+    # the wall clock steps back an hour after its first reading
+    readings = iter([2.0e9, 2.0e9 - 3600.0])
+    clock = types.SimpleNamespace(time=lambda: next(readings, 2.0e9 - 3600.0),
+                                  perf_counter=time.perf_counter)
+    monkeypatch.setattr(revsle.cli, "time", clock)
+    assert run(tmp_path, "cft-table") == 0
+    manifest = json.loads((only_run_dir(tmp_path, "cft-table-") / "manifest.json").read_text())
+    assert manifest["duration_seconds"] >= 0.0
+    assert manifest["created_unix"] == 2.0e9
 
 
 @pytest.mark.skipif(

@@ -11,8 +11,8 @@ import pytest
 from revsle.driving import TimeGrid, sample_brownian
 from revsle.loewner import evolve_backward
 import revsle.montecarlo
-from revsle.montecarlo import (BATCH_SIZE, McConfig, _pool_size, _run_batched, _xi_block,
-                               run_composed_stats, run_inverse_consistency,
+from revsle.montecarlo import (_STAGE, BATCH_SIZE, McConfig, _pool_size, _run_batched,
+                               _xi_block, run_composed_stats, run_inverse_consistency,
                                run_martingale_test)
 from revsle.observables import ObservableSpec, eval_one_point
 
@@ -62,10 +62,14 @@ def test_default_checkpoints_end_at_horizon():
     assert idx[-1] == 100
 
 
-# 1, 2 and 17 steps run the row-by-row running sum zero, one and many times
+# 1, 2 and 17 steps give running sums of one, two and many terms; spans of
+# 1 and _STAGE - 1 samples fill part of one stage, _STAGE one full stage,
+# _STAGE + 1 a full and a one-sample stage, and 3 _STAGE + 5 four stages
 @pytest.mark.parametrize("n_steps", [1, 2, 17])
 @pytest.mark.parametrize("master,lo,hi", [(0, 0, 4), (7, 3, 10), (2**64, 4093, 4099),
-                                          (5, 8, 9)])   # the last: a one-sample span
+                                          (5, 8, 9), (6, 100, 100 + _STAGE - 1),
+                                          (6, 100, 100 + _STAGE), (6, 100, 101 + _STAGE),
+                                          (6, 100, 105 + 3 * _STAGE)])
 def test_xi_block_columns_are_sampled_paths(master, lo, hi, n_steps):
     grid = TimeGrid(0.3, n_steps)
     xi = _xi_block(master, lo, hi, 2.5, grid.dt, grid.n_steps)
@@ -75,7 +79,7 @@ def test_xi_block_columns_are_sampled_paths(master, lo, hi, n_steps):
 
 
 def test_xi_block_is_the_only_block_of_its_span():
-    # built in place: no sample-major staging block or transposed copy
+    # no block-sized staging: the samples are staged a few at a time
     tracemalloc.start()
     try:
         xi = _xi_block(3, 0, 512, 4.0, 0.01, 200)

@@ -5,8 +5,9 @@ import pytest
 
 from revsle.driving import TimeGrid, explicit_path, sample_brownian
 from revsle.loewner import apply_derivative, apply_map, evolve_backward, evolve_forward
+from revsle.montecarlo import _xi_block
 from revsle.observables import (ObservableSpec,
-                                PointsTooCloseError, audit_one_point_exponents,
+                                PointsTooCloseError, _one_point_walk, audit_one_point_exponents,
                                 bpz_generator, bpz_operator_level2,
                                 drift_residual, eval_one_point,
                                 one_point_exponents)
@@ -173,6 +174,51 @@ def test_eval_one_point_constant_exponents():
     evo = evolve_backward(sample_brownian(TimeGrid(0.02, 50), 4.0, 5))
     out = eval_one_point(evo, 1.0, a=0.0, b=0.0)
     assert out.value == 1.0
+
+
+def reference_walk(xi, four_dt, y, a, b, eps_stop, record):
+    """The one-point walk as first written: every step takes a fresh
+    (g')^a X^b of the samples still above eps_stop."""
+    m = xi.shape[1]
+    w = np.full(m, float(y))
+    log_gp = np.zeros(m)
+    alive = np.ones(m, dtype=bool)
+    frozen = np.full(m, math.nan)
+    frozen_at, alive_at = [], []
+    for k in range(xi.shape[0]):
+        x = w - xi[k]
+        above = alive & (x > eps_stop)
+        log_x = np.log(np.where(above, x, 1.0))
+        frozen = np.where(above, np.exp(a * log_gp + b * log_x), frozen)
+        x2 = x * x
+        alive = above & (x2 > four_dt)
+        if k in record:
+            frozen_at.append(frozen)
+            alive_at.append(alive)
+        if k + 1 < xi.shape[0]:
+            root = np.sqrt(np.where(alive, x2 - four_dt, 1.0))
+            w = np.where(alive, xi[k] + root, w)
+            log_gp = np.where(alive, log_gp + log_x - np.log(root), log_gp)
+    return np.stack(frozen_at, axis=1), np.stack(alive_at, axis=1)
+
+
+# criterion 5's config; a coarse grid where many samples stop at X^2 <= 4 dt;
+# a wide eps_stop band where many stop at X <= eps_stop
+@pytest.mark.parametrize("kappa,horizon,n_steps,y,b,eps_stop", [
+    (4.0, 0.05, 500, 1.0, 3.0, 1e-3),
+    (2.0, 0.2, 25, 1.0, 1.5, 0.0),
+    (6.0, 0.1, 50, 0.5, 0.5, 0.1),
+])
+def test_walk_equals_the_reference_walk(kappa, horizon, n_steps, y, b, eps_stop):
+    a = b - kappa * b * (b - 1.0) / 4.0
+    dt = horizon / n_steps
+    xi = _xi_block(17, 0, 3000, kappa, dt, n_steps)
+    record = sorted(set(range(0, n_steps + 1, 7)) | {n_steps})
+    frozen, alive = _one_point_walk(xi, 4.0 * dt, y, a, b, eps_stop, record)
+    ref_frozen, ref_alive = reference_walk(xi, 4.0 * dt, y, a, b, eps_stop, record)
+    assert np.array_equal(frozen, ref_frozen, equal_nan=True)
+    assert np.array_equal(alive, ref_alive)
+    assert np.count_nonzero(~alive[:, -1]) > (0 if kappa == 4.0 else 500)
 
 
 def test_eval_one_point_telescopes_zero_driving():
