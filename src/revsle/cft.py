@@ -27,7 +27,6 @@ from typing import NamedTuple, Union
 __all__ = [
     "Sector",
     "CftParams",
-    "KacLabel",
     "params_from_kappa",
     "kac_dimension",
     "kac_alpha",
@@ -55,21 +54,6 @@ class CftParams:
             raise ValueError("liouville sector requires b^2 > 0")
         if self.sector == "matter" and not self.b_squared < 0:
             raise ValueError("matter sector requires b^2 < 0")
-
-
-@dataclass(frozen=True)
-class KacLabel:
-    """Degenerate-field label (r, s), r, s >= 1."""
-
-    r: int
-    s: int
-
-    def __post_init__(self):
-        if self.r < 1 or self.s < 1:
-            raise ValueError(f"Kac labels are positive integers, got {(self.r, self.s)}")
-
-    def dimension(self, params: CftParams) -> Number:
-        return kac_dimension(params, self.r, self.s)
 
 
 def _coerce(kappa: Number) -> Number:

@@ -5,13 +5,17 @@ data (dataclasses, floats, arrays); every CSV goes through ``_csv`` and
 every JSON file through ``_json_bytes``.
 
 Configs come from flags or a JSON file (--config; explicit flags win); a
-file value is parsed by its key's flag type, so both digest alike.
-Each run writes its data files plus a manifest into one directory named by
-the subcommand and a digest of the canonical config, so identical configs
-land in the same place with byte-identical data; timestamps live only in
-the manifest.  The directory is made only after the inputs are validated and
-the results computed, so a usage error leaves none.  Exit codes: 0 pass,
-1 verdict failure, 2 usage error.
+file value is parsed by its key's flag type, and a kappa list is written
+back in one spelling, so both digest alike.  Each run writes its data files
+plus a manifest into one directory named by the subcommand and a digest of
+the canonical config, so identical configs land in the same place with
+byte-identical data; timestamps live only in the manifest.  The directory
+is made only after the inputs are validated and the results computed, so a
+usage error leaves none.  Exit codes: 0 pass, 1 verdict failure (a
+non-finite point for ``trace`` and ``radial``), 2 usage error.
+
+``driving`` writes the sampled driving path alone; ``trace`` and ``radial``
+run a flow on the same path.
 
 Each subcommand is declared once, in ``_COMMANDS``: its config keys, each
 with a flag type and a default, and a body that turns the merged config into
@@ -29,14 +33,15 @@ import os
 import sys
 import time
 from fractions import Fraction
-from functools import partial
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Optional
+
+import numpy as np
 
 from . import __version__
 from .cft import coupling_check, kac_dimension, params_from_kappa
 from .driving import TimeGrid, sample_brownian
-from .loewner import evolve_backward, evolve_forward, evolve_wholeplane, trace
+from .loewner import evolve_forward, evolve_wholeplane, trace
 from .montecarlo import (McConfig, _pool_size, run_composed_stats,
                          run_inverse_consistency, run_martingale_test)
 from .observables import (ObservableSpec, audit_one_point_exponents,
@@ -92,8 +97,13 @@ def _fraction(text: str) -> Fraction:
         raise ValueError(f"kappa {text!r} has a zero denominator") from None
 
 
-def _kappa_list(text: str) -> list[Fraction]:
-    return [_fraction(part) for part in text.split(",") if part.strip()]
+def _kappa_list(cfg: dict) -> list[Fraction]:
+    """The config's comma-separated kappas, written back in one spelling
+    (``2, 8/3`` and a file's number 2 become ``2,8/3`` and ``2``), so that
+    equal lists digest alike."""
+    kappas = [_fraction(part) for part in str(cfg["kappa"]).split(",") if part.strip()]
+    cfg["kappa"] = ",".join(map(str, kappas))
+    return kappas
 
 
 # --- subcommand bodies -----------------------------------------------------
@@ -106,20 +116,20 @@ def _sampled_path(cfg: dict):
     return grid, sample_brownian(grid, float(cfg["kappa"]), int(cfg["seed"]))
 
 
-def _simulate(evolve, cfg, workers):
+def _driving(cfg, workers):
     grid, path = _sampled_path(cfg)
-    evo = evolve(path)
-    meta = {"kappa": path.kappa, "direction": evo.direction, "T": grid.horizon,
-            "n_steps": evo.n_steps, "seed": path.seed}
-    return ({"path.csv": _csv("t,xi", zip(grid.times(), path.values)),
-             "evolution.json": _json_bytes(meta)}, 0, None)
+    return {"path.csv": _csv("t,xi", zip(grid.times(), path.values))}, 0, None
 
 
 def _trace(cfg, workers):
     grid, path = _sampled_path(cfg)
     gamma = trace(evolve_forward(path))
     rows = zip(grid.times(), gamma.real, gamma.imag)
-    return {"trace.csv": _csv("t,re_gamma,im_gamma", rows)}, 0, None
+    files = {"trace.csv": _csv("t,re_gamma,im_gamma", rows)}
+    finite = bool(np.isfinite(gamma).all())
+    if not finite:
+        print("trace: non-finite tip in the curve", file=sys.stderr)
+    return files, 0 if finite else 1, None
 
 
 def _radial(cfg, workers):
@@ -137,7 +147,7 @@ def _radial(cfg, workers):
 
 def _cft_table(cfg, workers):
     rows = []
-    for k in _kappa_list(str(cfg["kappa"])):
+    for k in _kappa_list(cfg):
         liou = params_from_kappa(k, "liouville")
         matt = params_from_kappa(k, "matter")
         rows.append((k, *coupling_check(k), kac_dimension(liou, 1, 2),
@@ -148,7 +158,7 @@ def _cft_table(cfg, workers):
 def _virasoro_check(cfg, workers):
     records = []
     ok = True
-    for k in _kappa_list(str(cfg["kappa"])):
+    for k in _kappa_list(cfg):
         w = w_eigenvalue(k)
         for sector in ("liouville", "matter"):
             _, s12 = null_vector_12(k, sector)
@@ -237,8 +247,7 @@ def _flow_keys(kappa: float, steps: int) -> dict[str, _Key]:
 
 
 _COMMANDS: dict[str, tuple[Callable, dict[str, _Key]]] = {
-    "simulate-forward": (partial(_simulate, evolve_forward), _flow_keys(4.0, 500)),
-    "simulate-backward": (partial(_simulate, evolve_backward), _flow_keys(4.0, 500)),
+    "driving": (_driving, _flow_keys(4.0, 500)),
     "trace": (_trace, _flow_keys(2.0, 200)),
     "radial": (_radial, {**_flow_keys(2.0, 200),
                          "z0": _Key(lambda s: [float(v) for v in s.split(",")], [0.0, 1.0],

@@ -2,8 +2,8 @@
 
 A driving path is xi_k = sqrt(kappa) * B(t_k) on the uniform capacity-time
 grid t_k = k*T/n.  Increments come from a counter-based recipe, so any single
-increment is recomputable in isolation and ensembles parallelize with no
-shared state:
+increment is recomputable in isolation (``raw_normals`` with its ``block``)
+and ensembles parallelize with no shared state:
 
     raw_k = k-th 64-bit word of the Philox4x64 stream keyed by ``seed``
     u_k   = ((raw_k >> 11) + 1/2) * 2**-53        uniform in (0, 1)
@@ -32,16 +32,7 @@ import numpy as np
 from numpy.random import Philox
 from scipy.special import ndtri
 
-__all__ = [
-    "TimeGrid",
-    "DrivingPath",
-    "sample_brownian",
-    "explicit_path",
-    "reverse_driving",
-    "quadratic_variation",
-    "raw_normals",
-    "normal_increment",
-]
+__all__ = ["TimeGrid", "DrivingPath", "sample_brownian", "explicit_path", "raw_normals"]
 
 _KEY_MOD = 1 << 128  # Philox key width
 _WORD = (1 << 64) - 1
@@ -69,9 +60,6 @@ class TimeGrid:
     def dt(self) -> float:
         return self.horizon / self.n_steps
 
-    def time(self, k: int) -> float:
-        return k * self.horizon / self.n_steps
-
     def times(self) -> np.ndarray:
         return np.arange(self.n_steps + 1) * self.horizon / self.n_steps
 
@@ -88,14 +76,10 @@ class DrivingPath:
     grid: TimeGrid
     kappa: float
     values: np.ndarray
-    seed: int
-    origin: str  # "sampled" | "reversed" | "explicit"
 
     def __post_init__(self):
         if not 0.0 < self.kappa < math.inf:
             raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
-        if self.origin not in ("sampled", "reversed", "explicit"):
-            raise ValueError(f"unknown origin {self.origin!r}")
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.shape != (self.grid.n_steps + 1,):
             raise ValueError(
@@ -104,13 +88,13 @@ class DrivingPath:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    @property
-    def n_steps(self) -> int:
-        return self.grid.n_steps
 
+def raw_normals(seed: int, n: int, block: int = 0) -> np.ndarray:
+    """Standard normals 4*block .. 4*block+n-1 of the stream keyed by seed.
 
-def _normals(seed: int, n: int, block: int = 0) -> np.ndarray:
-    """Standard normals 4*block .. 4*block+n-1 of the stream keyed by seed."""
+    Philox counters advance in blocks of four 64-bit words, so normal k is
+    ``raw_normals(seed, k % 4 + 1, block=k // 4)[-1]``, computed without its
+    predecessors."""
     gen = getattr(_local, "gen", None)
     if gen is None:
         gen = _local.gen = Philox(0)
@@ -131,17 +115,6 @@ def _normals(seed: int, n: int, block: int = 0) -> np.ndarray:
     return ndtri(u, out=u)
 
 
-def raw_normals(seed: int, n: int) -> np.ndarray:
-    """First n standard normals of the counter-based stream keyed by seed."""
-    return _normals(seed, n)
-
-
-def normal_increment(seed: int, k: int) -> float:
-    """Standard normal number k of the stream, computed without its
-    predecessors (Philox counters advance in blocks of four 64-bit words)."""
-    return float(_normals(seed, k % 4 + 1, k // 4)[-1])
-
-
 def sample_brownian(grid: TimeGrid, kappa: float, seed: int) -> DrivingPath:
     """Sample xi_t = sqrt(kappa) B_t on the grid, xi_0 = 0.
 
@@ -154,24 +127,10 @@ def sample_brownian(grid: TimeGrid, kappa: float, seed: int) -> DrivingPath:
     values = np.empty(grid.n_steps + 1)
     values[0] = 0.0
     np.cumsum(np.sqrt(kappa * grid.dt) * z, out=values[1:])
-    return DrivingPath(grid, float(kappa), values, int(seed), "sampled")
+    return DrivingPath(grid, float(kappa), values)
 
 
-def explicit_path(grid: TimeGrid, kappa: float, values, seed: int = 0) -> DrivingPath:
+def explicit_path(grid: TimeGrid, kappa: float, values) -> DrivingPath:
     """Wrap caller-supplied driving values (e.g. zero driving for exact tests)."""
-    return DrivingPath(grid, float(kappa), np.asarray(values, dtype=np.float64),
-                       int(seed), "explicit")
-
-
-def reverse_driving(path: DrivingPath) -> DrivingPath:
-    """Time-reversed driving: xi~_k = xi_{n-k} on the same grid."""
-    if path.grid.n_steps < 1:
-        raise ValueError("need at least 2 grid points")
-    return DrivingPath(path.grid, path.kappa, path.values[::-1].copy(),
-                       path.seed, "reversed")
-
-
-def quadratic_variation(path: DrivingPath) -> float:
-    """Sum of squared increments; estimates kappa*T for Brownian driving."""
-    return float(np.sum(np.square(np.diff(path.values))))
+    return DrivingPath(grid, float(kappa), values)
 

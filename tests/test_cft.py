@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from revsle.cft import (CftParams, KacLabel, coupling_check,
-                        kac_alpha, kac_dimension, params_from_kappa)
+from revsle.cft import (CftParams, coupling_check, kac_alpha, kac_dimension,
+                        params_from_kappa)
 
 KAPPAS = [Fraction(2), Fraction(8, 3), Fraction(3), Fraction(4), Fraction(6), Fraction(8)]
 
@@ -104,12 +104,7 @@ def test_kac_rejects_bad_labels():
     with pytest.raises(ValueError):
         kac_dimension(p, 0, 1)
     with pytest.raises(ValueError):
-        KacLabel(1, 0)
-
-
-def test_kac_label_dimension_delegates():
-    p = params_from_kappa(4, "liouville")
-    assert KacLabel(1, 2).dimension(p) == kac_dimension(p, 1, 2)
+        kac_dimension(p, 1, 0)
 
 
 def test_alpha_reproduces_dimension_liouville():

@@ -167,8 +167,7 @@ CSV_HEADERS = [
      "t,mean,stderr,z,n_alive,n_stopped", 5),
     ("inverse-check", ["--samples", "3", "--steps", "10"], "samples.csv",
      "sample,max_error", 3),
-    ("simulate-forward", ["--steps", "10"], "path.csv", "t,xi", 11),
-    ("simulate-backward", ["--steps", "10"], "path.csv", "t,xi", 11),
+    ("driving", ["--steps", "10"], "path.csv", "t,xi", 11),
     ("trace", ["--steps", "10"], "trace.csv", "t,re_gamma,im_gamma", 11),
     ("radial", ["--steps", "10"], "radial.csv", "t,re_g,im_g", 11),
     ("cft-table", ["--kappa", "2,8/3"], "table.csv", "kappa,c_L,c_M,sum,h12_L,h12_M,h13_L", 2),
@@ -186,9 +185,9 @@ def test_csv_header_and_rows(sub, flags, name, header, n_rows, tmp_path, capsys)
 
 
 def test_path_csv_reads_back_bitwise(tmp_path, capsys):
-    assert run(tmp_path, "simulate-forward", "--kappa", "2", "--steps", "40",
+    assert run(tmp_path, "driving", "--kappa", "2", "--steps", "40",
                "--horizon", "0.5", "--seed", "77") == 0
-    lines = (only_run_dir(tmp_path, "simulate-forward-") / "path.csv").read_text().split("\n")
+    lines = (only_run_dir(tmp_path, "driving-") / "path.csv").read_text().split("\n")
     path = sample_brownian(TimeGrid(0.5, 40), 2.0, 77)
     rows = [line.split(",") for line in lines[1:-1]]
     assert [float(t) for t, _ in rows] == path.grid.times().tolist()
@@ -196,15 +195,11 @@ def test_path_csv_reads_back_bitwise(tmp_path, capsys):
 
 
 def test_simulate_and_trace_and_radial(tmp_path, capsys):
-    assert run(tmp_path, "simulate-forward", "--kappa", "2", "--steps", "20",
+    assert run(tmp_path, "driving", "--kappa", "2", "--steps", "20",
                "--horizon", "0.5", "--seed", "1") == 0
-    d = only_run_dir(tmp_path, "simulate-forward-")
+    d = only_run_dir(tmp_path, "driving-")
     assert (d / "path.csv").read_text().startswith("t,xi")
-    meta = json.loads((d / "evolution.json").read_text())
-    assert meta["direction"] == "forward" and meta["n_steps"] == 20
-
-    assert run(tmp_path, "simulate-backward", "--kappa", "2", "--steps", "20",
-               "--horizon", "0.5", "--seed", "1") == 0
+    assert json.loads((d / "manifest.json").read_text())["outputs"] == ["path.csv"]
 
     assert run(tmp_path, "trace", "--kappa", "2", "--steps", "30",
                "--horizon", "0.5", "--seed", "1") == 0
@@ -231,6 +226,22 @@ def test_radial_nonfinite_state_flips_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(revsle.loewner, "cmath", types.SimpleNamespace(sqrt=poisoned))
     assert run(tmp_path / "nan", *argv) == 1
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_trace_nonfinite_tip_flips_exit_code(tmp_path, monkeypatch, capsys):
+    argv = ["trace", "--steps", "20"]
+    assert run(tmp_path / "clean", *argv) == 0
+    original = revsle.loewner.slit_sqrt_vec
+    calls = itertools.count()
+
+    def poisoned(u, re_hint):   # NaN roots at the fourth zipper step
+        s = original(u, re_hint)
+        return s * math.nan if next(calls) == 3 else s
+
+    monkeypatch.setattr(revsle.loewner, "slit_sqrt_vec", poisoned)
+    assert run(tmp_path / "nan", *argv) == 1
+    assert "trace: non-finite tip in the curve" in capsys.readouterr().err
+    assert "nan" in (only_run_dir(tmp_path / "nan", "trace-") / "trace.csv").read_text()
 
 
 def test_trace_and_radial_fields_are_plain_floats(tmp_path, capsys):
@@ -408,18 +419,26 @@ def test_config_value_its_type_changes_is_usage_error(sub, file_cfg, tmp_path, c
     assert not (tmp_path / "out").exists()
 
 
+# A config file and the flags (subcommand first) that give the same config.
 @pytest.mark.parametrize("file_cfg,flags", [
-    ({"samples": 100}, ["--samples", "100"]),
-    ({"samples": 100.0}, ["--samples", "100"]),   # an integral float is the int
-    ({"kappa": 4}, ["--kappa", "4"]),
+    ({"steps": 5, "samples": 100}, ["inverse-check", "--steps", "5", "--samples", "100"]),
+    # an integral float is the int
+    ({"steps": 5, "samples": 100.0}, ["inverse-check", "--steps", "5", "--samples", "100"]),
+    ({"steps": 5, "kappa": 4}, ["inverse-check", "--steps", "5", "--kappa", "4"]),
+    # a kappa list digests in one spelling: a number, or spaces after commas
+    ({"kappa": 2}, ["cft-table", "--kappa", "2"]),
+    ({"kappa": 2}, ["virasoro-check", "--kappa", "2"]),
+    ({"kappa": "2, 8/3"}, ["cft-table", "--kappa", "2,8/3"]),
+    ({"kappa": "2, 8/3"}, ["virasoro-check", "--kappa", "2,8/3"]),
 ])
 def test_config_file_and_flags_share_the_run_directory(file_cfg, flags, tmp_path, capsys):
+    sub = flags[0]
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"steps": 5, **file_cfg}))
-    assert run(tmp_path / "file", "inverse-check", "--config", str(cfg)) == 0
-    assert run(tmp_path / "flags", "inverse-check", "--steps", "5", *flags) == 0
-    d = only_run_dir(tmp_path / "file", "inverse-check-")
-    assert d.name == only_run_dir(tmp_path / "flags", "inverse-check-").name
+    cfg.write_text(json.dumps(file_cfg))
+    assert run(tmp_path / "file", sub, "--config", str(cfg)) == 0
+    assert run(tmp_path / "flags", *flags) == 0
+    d = only_run_dir(tmp_path / "file", sub + "-")
+    assert d.name == only_run_dir(tmp_path / "flags", sub + "-").name
     assert json.loads((d / "manifest.json").read_text())["config"] == json.loads(
         (tmp_path / "flags" / d.name / "manifest.json").read_text())["config"]
 
@@ -430,10 +449,7 @@ def test_config_file_and_flags_share_the_run_directory(file_cfg, flags, tmp_path
 # digest, so it is pinned too (config-file values enter it parsed by their
 # key's type: the int 4 for a float key enters as 4.0).
 PINNED = [
-    ("simulate-forward", ["--kappa", "2", "--steps", "10"], {"seed": 9, "steps": 5},
-     "5cf4769cee3401d53d4644c77a2cecb9e42afbd588340af06aea31561d2b795e",
-     "edda639a5d4e675d25cc27a59416ba5c04b7151f8f185ed615f22131f31e06c9"),
-    ("simulate-backward", ["--kappa", "2", "--steps", "10"], {"seed": 9, "steps": 5},
+    ("driving", ["--kappa", "2", "--steps", "10"], {"seed": 9, "steps": 5},
      "5cf4769cee3401d53d4644c77a2cecb9e42afbd588340af06aea31561d2b795e",
      "edda639a5d4e675d25cc27a59416ba5c04b7151f8f185ed615f22131f31e06c9"),
     ("trace", ["--steps", "10", "--seed", "3"], {"kappa": 4, "horizon": 0.5, "steps": 12},
@@ -471,10 +487,6 @@ PINNED = [
 # hold on any CPU; engine outputs, which go through libm and SIMD
 # exp/log/sqrt, are left out.
 PINNED_DATA = {
-    "simulate-forward": {
-        "evolution.json": "cebd3480f57979b6d6f807bbffc8e84a46c7bf33b777424d78aefdeab1b3a78d"},
-    "simulate-backward": {
-        "evolution.json": "55f4719f576ed83c87ae860af75e5735a1650f83cd4ba0471c966d666fd8b8bf"},
     "cft-table": {
         "table.csv": "7d0b1439df19ecc55d85b0ace6dc8570eeb1089872d8003cca3284965a691028"},
     "virasoro-check": {
@@ -507,8 +519,7 @@ def test_run_directory_and_digest_are_pinned(sub, flags, file_cfg, flags_digest,
 
 # The config keys of each subcommand; each is a flag of the same name.
 KEYS = {
-    "simulate-forward": "kappa seed steps horizon",
-    "simulate-backward": "kappa seed steps horizon",
+    "driving": "kappa seed steps horizon",
     "trace": "kappa seed steps horizon",
     "radial": "kappa seed steps horizon z0",
     "cft-table": "kappa",

@@ -6,9 +6,13 @@ import pytest
 from numpy.random import Philox
 from scipy.special import ndtri
 
-from revsle.driving import (DrivingPath, TimeGrid, explicit_path,
-                            normal_increment, quadratic_variation,
-                            raw_normals, reverse_driving, sample_brownian)
+from revsle.driving import (DrivingPath, TimeGrid, explicit_path, raw_normals,
+                            sample_brownian)
+
+
+def quadratic_variation(path):
+    """Sum of squared increments; estimates kappa*T for Brownian driving."""
+    return float(np.sum(np.square(np.diff(path.values))))
 
 
 def test_grid_times_are_k_T_over_n():
@@ -17,7 +21,7 @@ def test_grid_times_are_k_T_over_n():
     assert ts[0] == 0.0
     for k in range(8):
         assert ts[k] == k * 0.7 / 7
-    assert g.time(7) == pytest.approx(0.7, abs=0.0)
+    assert g.times()[-1] == 0.7
     assert g.dt == 0.7 / 7
 
 
@@ -35,7 +39,6 @@ def test_sample_starts_at_zero_and_has_right_length():
     p = sample_brownian(TimeGrid(1.0, 50), 3.0, 123)
     assert p.values[0] == 0.0
     assert len(p.values) == 51
-    assert p.origin == "sampled"
 
 
 def test_sample_is_deterministic_bitwise():
@@ -118,30 +121,11 @@ def test_raw_normals_match_under_interleaving_threads():
 
 
 def test_normal_increment_matches_stream():
+    # normal k alone: its block of four words, cut after it
     for seed in (31415, 2**64 + 9, -7):
         zs = reference_normals(seed, 14)
         for k in range(14):
-            assert normal_increment(seed, k) == zs[k]
-
-
-def test_reverse_explicit_values():
-    g = TimeGrid(1.0, 2)
-    p = explicit_path(g, 1.0, [0.0, 1.0, 3.0])
-    r = reverse_driving(p)
-    assert list(r.values) == [3.0, 1.0, 0.0]
-    assert r.origin == "reversed"
-
-
-def test_reverse_is_involution():
-    p = sample_brownian(TimeGrid(1.0, 33), 2.0, 5)
-    rr = reverse_driving(reverse_driving(p))
-    assert np.array_equal(rr.values, p.values)
-
-
-def test_reverse_starts_at_terminal_value():
-    p = sample_brownian(TimeGrid(1.0, 20), 3.0, 9)
-    r = reverse_driving(p)
-    assert r.values[0] == p.values[-1]
+            assert raw_normals(seed, k % 4 + 1, block=k // 4)[-1] == zs[k]
 
 
 def test_quadratic_variation_explicit():
@@ -183,4 +167,4 @@ def test_values_are_read_only():
 
 def test_path_length_validation():
     with pytest.raises(ValueError):
-        DrivingPath(TimeGrid(1.0, 3), 1.0, np.zeros(3), 0, "explicit")
+        DrivingPath(TimeGrid(1.0, 3), 1.0, np.zeros(3))
