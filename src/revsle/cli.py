@@ -20,13 +20,15 @@ run a flow on the same path.
 Each subcommand is declared once, in ``_COMMANDS``: its config keys, each
 with a flag type and a default, and a body that turns the merged config into
 data files.  The parser, the config merge and the run writer all read that
-table.
+table.  The parser is built once per process and reused by every ``main``
+call; parsing does not change it, so in-process calls stay independent.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -97,6 +99,18 @@ def _fraction(text: str) -> Fraction:
         raise ValueError(f"kappa {text!r} has a zero denominator") from None
 
 
+def _point(value) -> list[float]:
+    """A point RE,IM as a list of floats: a flag's text ``"RE,IM"``, or a
+    config file's string of that form or list of numbers (not bools).  The
+    body checks that there are two."""
+    if isinstance(value, list) and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                                       for v in value):
+        return [float(v) for v in value]
+    if isinstance(value, str):
+        return [float(v) for v in value.split(",")]
+    raise TypeError(f"{value!r} is neither RE,IM nor a list of numbers")
+
+
 def _kappa_list(cfg: dict) -> list[Fraction]:
     """The config's comma-separated kappas, written back in one spelling
     (``2, 8/3`` and a file's number 2 become ``2,8/3`` and ``2``), so that
@@ -134,10 +148,10 @@ def _trace(cfg, workers):
 
 def _radial(cfg, workers):
     z0 = cfg["z0"]
-    if not isinstance(z0, list) or len(z0) != 2:
+    if len(z0) != 2:
         raise SystemExit(f"radial: z0 needs two values RE,IM, got {z0!r}")
     grid, path = _sampled_path(cfg)
-    evo = evolve_wholeplane(path, z0=complex(float(z0[0]), float(z0[1])))
+    evo = evolve_wholeplane(path, z0=complex(*z0))
     rows = zip(grid.times(), evo.states.real, evo.states.imag)
     files = {"radial.csv": _csv("t,re_g,im_g", rows)}
     if not evo.completed:
@@ -250,8 +264,7 @@ _COMMANDS: dict[str, tuple[Callable, dict[str, _Key]]] = {
     "driving": (_driving, _flow_keys(4.0, 500)),
     "trace": (_trace, _flow_keys(2.0, 200)),
     "radial": (_radial, {**_flow_keys(2.0, 200),
-                         "z0": _Key(lambda s: [float(v) for v in s.split(",")], [0.0, 1.0],
-                                    "initial point RE,IM")}),
+                         "z0": _Key(_point, [0.0, 1.0], "initial point RE,IM")}),
     "cft-table": (_cft_table, {
         "kappa": _Key(str, "2,8/3,3,4,6,8",
                       "comma-separated list; fractions like 8/3 stay exact")}),
@@ -273,6 +286,7 @@ _COMMANDS: dict[str, tuple[Callable, dict[str, _Key]]] = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="revsle",
@@ -301,10 +315,17 @@ def _file_value(key: str, spec: _Key, value):
     An int, float or bool key takes only a JSON value of that kind that the
     type leaves unchanged (4 for a float key becomes 4.0; 100.7 for an int
     key, true for a numeric key and "yes" for a switch are usage errors),
-    and null only where the default is null.  Other keys take the value as
-    it is."""
-    if spec.type not in (int, float, bool) or (value is None and spec.default is None):
+    and null only where the default is null.  A point takes its flag's
+    string or a list of numbers ("0,1" and [0, 1] become [0.0, 1.0]).  A
+    string key takes the value as it is."""
+    if spec.type is str or (value is None and spec.default is None):
         return value
+    if spec.type is _point:
+        try:
+            return _point(value)
+        except (TypeError, ValueError, OverflowError):
+            raise SystemExit(f"config key {key!r} must be a string RE,IM or a list "
+                             f"of numbers, got {value!r}") from None
     try:
         parsed = spec.type(value)
     except (TypeError, ValueError, OverflowError):

@@ -69,8 +69,9 @@ class DrivingPath:
     """Discretized driving function.
 
     ``values[k]`` is xi at grid time k; there are ``n_steps + 1`` entries.
-    Instances are immutable (the value array is marked read-only) and safe to
-    share across concurrent workers.
+    Instances are immutable (the values are copied into a private read-only
+    array, so later writes to the caller's array do not reach them) and safe
+    to share across concurrent workers.
     """
 
     grid: TimeGrid
@@ -80,7 +81,7 @@ class DrivingPath:
     def __post_init__(self):
         if not 0.0 < self.kappa < math.inf:
             raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
-        vals = np.asarray(self.values, dtype=np.float64)
+        vals = np.array(self.values, dtype=np.float64)
         if vals.shape != (self.grid.n_steps + 1,):
             raise ValueError(
                 f"need {self.grid.n_steps + 1} values, got shape {vals.shape}"

@@ -33,12 +33,17 @@ and sends eta to 0; in w the flow reads dw = -(1 + w^2)/(2w) dt, so
 d(1 + w^2) = -(1 + w^2) dt and 1 + w^2 decays exactly as e^{-t}.  One step
 of constant driving is therefore w -> i sqrt((1 - e^{-dt}) - e^{-dt} w^2),
 a scaled backward chordal slit step, followed by the inverse rotation.
+The step runs on Python complex numbers only: cos xi_k and sin xi_k come
+from a table built once per path (:func:`_rotations`), each with imaginary
+part +0.0, which is the value CPython's float-to-complex coercion gives a
+float operand, so the states are the same bits as with float operands.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -120,8 +125,8 @@ class LoewnerEvolution:
 
     ``driving_values`` are the n+1 grid values of the driving; step k holds
     the value at its left endpoint.  An empty chain is the identity.
-    Instances are immutable; evaluation at distinct points is freely
-    concurrent.
+    Instances are immutable (the driving values are copied into a private
+    read-only array); evaluation at distinct points is freely concurrent.
     """
 
     direction: str
@@ -131,7 +136,7 @@ class LoewnerEvolution:
     def __post_init__(self):
         if self.direction not in ("forward", "backward"):
             raise ValueError(f"unknown direction {self.direction!r}")
-        vals = np.asarray(self.driving_values, dtype=np.float64)
+        vals = np.array(self.driving_values, dtype=np.float64)
         vals.setflags(write=False)
         object.__setattr__(self, "driving_values", vals)
 
@@ -255,22 +260,48 @@ class RadialEvolution:
         return bool(np.all(np.isfinite(self.states)))
 
 
+# The last path's rotation table, (weak reference to the path, table).  A
+# sweep of start points on one path builds the table once; a weak reference
+# cannot match a later path that reuses a dead one's address.  One tuple,
+# rebound whole, so a concurrent reader sees a consistent pair.
+_last_rotations: tuple = (None, None)
+
+
+def _rotations(path: DrivingPath) -> tuple[list[complex], list[complex]]:
+    """cos xi_k and sin xi_k of the path's steps as Python complex numbers
+    with imaginary part +0.0, built once for the most recent path."""
+    global _last_rotations
+    ref, table = _last_rotations
+    if ref is None or ref() is not path:
+        xi = path.values[:-1]
+        table = (np.cos(xi).astype(np.complex128).tolist(),
+                 np.sin(xi).astype(np.complex128).tolist())
+        _last_rotations = (weakref.ref(path), table)
+    return table
+
+
 def evolve_wholeplane(path: DrivingPath, z0: complex = 1j) -> RadialEvolution:
     """Flow z0 by dg = -(1+g^2)/2 * (1+eta*g)/(g-eta) dt, eta = tan(xi),
     with the exact one-step map of the module docstring: rotate the step's
     driving to 0, take the slit step, rotate back.  The principal root puts
-    the image in the closed upper half-plane."""
+    the image in the closed upper half-plane.
+
+    Every operand is a Python complex: the path's cos/sin table comes from
+    :func:`_rotations` (hit by repeated calls on one path) and the step
+    constants are made complex once per call, so no step coerces a float."""
     z0 = complex(z0)
     if not (math.isfinite(z0.real) and math.isfinite(z0.imag) and z0.imag > 0.0):
         raise ValueError(f"initial point {z0} must be finite, in the open upper half-plane")
-    p, q = -math.expm1(-path.grid.dt), math.exp(-path.grid.dt)
-    xi = path.values[:-1]
+    dt = path.grid.dt
+    p, q = complex(-math.expm1(-dt)), complex(math.exp(-dt))
+    cos, sin = _rotations(path)
+    sqrt = cmath.sqrt   # looked up per call, so a patched cmath takes effect
     g = z0
     states = [g]
-    for c, s in zip(np.cos(xi).tolist(), np.sin(xi).tolist()):
+    append = states.append
+    for c, s in zip(cos, sin):
         w = (g * c - s) / (g * s + c)
-        w = 1j * cmath.sqrt(p - q * w * w)
+        w = 1j * sqrt(p - q * w * w)
         g = (w * c + s) / (c - w * s)
-        states.append(g)
+        append(g)
     return RadialEvolution(np.array(states, dtype=np.complex128), path)
-

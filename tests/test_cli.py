@@ -328,6 +328,17 @@ def test_radial_z0_needs_two_values(source, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("z0", [[True, 1], ["0", "1"], "0,x", 1, None],
+                         ids=["bools", "strings", "bad-text", "number", "null"])
+def test_radial_z0_file_value_must_be_a_point(z0, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"z0": z0}))
+    assert run(tmp_path / "out", "radial", "--config", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().split("\n")) == 1 and "z0" in err
+    assert not (tmp_path / "out").exists()
+
+
 USAGE_ERRORS = {
     "radial": ["radial", "--z0", "0,-1"],
     # NaN fails no comparison with 0, so the start point is also checked finite
@@ -430,6 +441,10 @@ def test_config_value_its_type_changes_is_usage_error(sub, file_cfg, tmp_path, c
     ({"kappa": 2}, ["virasoro-check", "--kappa", "2"]),
     ({"kappa": "2, 8/3"}, ["cft-table", "--kappa", "2,8/3"]),
     ({"kappa": "2, 8/3"}, ["virasoro-check", "--kappa", "2,8/3"]),
+    # a point is a list of two numbers or the flag's own spelling
+    ({"z0": [0, 1], "steps": 10}, ["radial", "--z0", "0,1", "--steps", "10"]),
+    ({"z0": "0,1", "steps": 10}, ["radial", "--z0", "0,1", "--steps", "10"]),
+    ({"z0": [0.5, 2.0], "steps": 10}, ["radial", "--z0", "0.5,2", "--steps", "10"]),
 ])
 def test_config_file_and_flags_share_the_run_directory(file_cfg, flags, tmp_path, capsys):
     sub = flags[0]
@@ -457,7 +472,7 @@ PINNED = [
      "139eedc19ccae5208f45a85df11ffba3cb1e50cb4481a7d103a7f95a158b4932"),
     ("radial", ["--steps", "10", "--z0", "0.5,2"], {"z0": [1, 1], "steps": 8},
      "faf15c4a974dbb576d07589bbe3ead5894cc5ed54f9513895a469cfed8185934",
-     "fa20a032a085c902ba1a60d5d86af018f4e542e43b9c2a51f953f676bbf86ac5"),
+     "561f7343290fef5114054bc0da30af634bf3db8d08778fe557192bcce0583ca6"),
     ("cft-table", ["--kappa", "2,8/3"], {"kappa": "6"},
      "a48cc128b2008728afd33185d80daa3276be8b58809cca55869851d7257335f8",
      "28e6631ee53c87eb0d1f0b563f51f2161583c9578e686f8e198bbc3d7d8d00bd"),
@@ -540,6 +555,33 @@ def test_each_subcommand_has_its_table_keys_as_flags():
         expected = {"--" + key for key in KEYS[name].split()}
         assert flags == expected | {"--config", "--out", "--workers"}, name
         assert list(revsle.cli._COMMANDS[name][1]) == KEYS[name].split()
+
+
+def test_parser_is_built_once_per_process():
+    assert revsle.cli._build_parser() is revsle.cli._build_parser()
+
+
+def test_reused_parser_keeps_calls_independent(tmp_path, capsys):
+    # a flag of one call must not become the default of the next
+    assert run(tmp_path / "seeded", "trace", "--seed", "5") == 0
+    assert run(tmp_path / "default", "trace") == 0
+    default = {"kappa": 2.0, "seed": 0, "steps": 200, "horizon": 1.0}
+    digest = hashlib.sha256(json.dumps(default, sort_keys=True,
+                                       separators=(",", ":")).encode()).hexdigest()
+    d = only_run_dir(tmp_path / "default", "trace-")
+    assert d.name == f"trace-{digest[:12]}"
+    assert json.loads((d / "manifest.json").read_text())["config"] == default
+    assert only_run_dir(tmp_path / "seeded", "trace-").name != d.name
+
+
+def test_reused_parser_still_reports_usage_and_help(tmp_path, capsys):
+    revsle.cli._build_parser()
+    assert run(tmp_path, "trace", "--steps", "x") == 2
+    assert run(tmp_path, "trace", "--no-such-flag") == 2
+    assert main(["trace", "--help"]) == 0
+    assert "--seed" in capsys.readouterr().out
+    assert run(tmp_path, "trace", "--steps", "5") == 0
+    assert list(tmp_path.iterdir()) == [only_run_dir(tmp_path, "trace-")]
 
 
 def test_seed_flag_only_where_there_is_a_seed(tmp_path, capsys):

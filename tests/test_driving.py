@@ -165,6 +165,24 @@ def test_values_are_read_only():
         p.values[0] = 1.0
 
 
+def test_explicit_path_copies_the_callers_array():
+    v = np.zeros(3)
+    p = explicit_path(TimeGrid(1.0, 2), 1.0, v)
+    assert p.values is not v and v.flags.writeable
+    v[0] = 1.0   # the caller's array stays theirs to write
+    assert p.values.tolist() == [0.0, 0.0, 0.0]
+    with pytest.raises(ValueError):
+        p.values[0] = 1.0
+
+
+def test_explicit_path_of_a_view_does_not_follow_its_base():
+    b = np.arange(3.0)
+    p = explicit_path(TimeGrid(1.0, 2), 1.0, b[::-1])
+    assert not np.shares_memory(p.values, b)
+    b[0] = 9.0
+    assert p.values.tolist() == [2.0, 1.0, 0.0]
+
+
 def test_path_length_validation():
     with pytest.raises(ValueError):
         DrivingPath(TimeGrid(1.0, 3), 1.0, np.zeros(3))

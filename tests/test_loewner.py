@@ -1,4 +1,7 @@
+import cmath
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from revsle import loewner
 from revsle.driving import TimeGrid, explicit_path, sample_brownian
 from revsle.loewner import (BranchViolationError, LoewnerEvolution,
                             SwallowedPointError,
@@ -280,6 +284,20 @@ def test_trace_requires_forward():
         trace(evolve_backward(zero_path(1.0, 4)))
 
 
+def test_evolution_copies_the_callers_driving():
+    a = np.zeros(3)
+    evo = LoewnerEvolution("forward", a, 0.5)
+    assert evo.driving_values is not a and a.flags.writeable
+    a[1] = 1.0   # the caller's array stays theirs to write
+    assert evo.driving_values.tolist() == [0.0, 0.0, 0.0]
+    b = np.arange(3.0)
+    evo = LoewnerEvolution("forward", b[::-1], 0.5)
+    b[0] = 9.0   # nor does a write to the base of a view reach the chain
+    assert evo.driving_values.tolist() == [2.0, 1.0, 0.0]
+    with pytest.raises(ValueError):
+        evo.driving_values[0] = 1.0
+
+
 def test_evolution_rejects_unknown_direction():
     with pytest.raises(ValueError):
         LoewnerEvolution("sideways", np.zeros(3), 0.1)
@@ -495,6 +513,92 @@ def test_radial_driver_at_tan_pole_matches_reference():
     path = explicit_path(TimeGrid(1.0, 2), 1.0, [0.0, math.pi / 2.0, 0.1])
     ref = dop853_radial(path.values, path.grid.dt, RADIAL_POINTS)
     assert np.max(np.abs(radial_states(path, RADIAL_POINTS) - ref)) <= 1e-12
+
+
+def float_operand_wholeplane(path, z0):
+    """The radial loop with float cos/sin and step constants, which CPython
+    coerces to complex with imaginary part +0.0 at each operation: the
+    reference whose bits evolve_wholeplane's complex operands must keep."""
+    p, q = -math.expm1(-path.grid.dt), math.exp(-path.grid.dt)
+    xi = path.values[:-1]
+    g = complex(z0)
+    states = [g]
+    for c, s in zip(np.cos(xi).tolist(), np.sin(xi).tolist()):
+        w = (g * c - s) / (g * s + c)
+        w = 1j * cmath.sqrt(p - q * w * w)
+        g = (w * c + s) / (c - w * s)
+        states.append(g)
+    return np.array(states, dtype=np.complex128)
+
+
+def assert_radial_bits(path, z0):
+    got = evolve_wholeplane(path, z0=z0).states
+    assert np.array_equal(got.view(np.uint64), float_operand_wholeplane(path, z0).view(np.uint64))
+
+
+SWEEP_POINTS = [complex(re, im) for re in (-1.5, -0.5, 0.5, 1.5)
+                for im in (0.25, 0.5, 1.0, 2.0, 3.0)]
+
+
+@pytest.mark.parametrize("kappa,steps", [(2.0, 100), (8.0, 37), (0.5, 1)])
+def test_radial_states_equal_float_operand_loop_bitwise(kappa, steps):
+    for seed in range(5):
+        path = sample_brownian(TimeGrid(1.0, steps), kappa, 1000 * seed + 17)
+        for z in SWEEP_POINTS:
+            assert_radial_bits(path, z)
+
+
+@pytest.mark.parametrize("z0", [1j, 0.5j])
+def test_radial_zero_driving_keeps_signed_zeros(z0):
+    # c = 1 and s = 0 exactly, so any slip in a zero's sign would show
+    path = zero_path(1.0, 50, kappa=2.0)
+    assert_radial_bits(path, z0)
+    assert not np.any(np.signbit(evolve_wholeplane(path, z0=z0).states.real))
+
+
+def test_radial_interleaved_paths_use_their_own_table():
+    a = sample_brownian(TimeGrid(1.0, 40), 2.0, 1)
+    b = sample_brownian(TimeGrid(1.0, 40), 2.0, 2)
+    for path in (a, b, a, a, b):
+        assert_radial_bits(path, 0.5 + 1j)
+
+
+def test_radial_table_does_not_outlive_its_path():
+    grid = TimeGrid(1.0, 30)
+    path = sample_brownian(grid, 2.0, 0)
+    assert_radial_bits(path, -0.5 + 0.5j)
+    del path
+    # a dead path's entry can match no later path, even one at its address
+    ref, _ = loewner._last_rotations
+    assert ref() is None
+    for seed in range(1, 4):
+        path = sample_brownian(grid, 2.0, seed)
+        assert_radial_bits(path, -0.5 + 0.5j)
+        del path
+
+
+def test_radial_table_is_safe_under_threads():
+    # threads on different paths keep replacing the one shared table entry
+    paths = [sample_brownian(TimeGrid(1.0, 30), 2.0, seed) for seed in range(6)]
+    expected = [float_operand_wholeplane(p, 0.5 + 1j).view(np.uint64) for p in paths]
+
+    def sweep(i):
+        for _ in range(40):
+            for k in (i, (i + 1) % len(paths)):
+                got = evolve_wholeplane(paths[k], z0=0.5 + 1j).states.view(np.uint64)
+                if not np.array_equal(got, expected[k]):
+                    return False
+        return True
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(paths)) as ex:
+            results = [f.result(timeout=60) for f in [ex.submit(sweep, i)
+                                                      for i in range(len(paths))]]
+    finally:
+        sys.setswitchinterval(old)
+    assert all(results)
 
 
 def test_radial_rejects_lower_half_plane_start():
