@@ -116,6 +116,8 @@ def _kappa_list(cfg: dict) -> list[Fraction]:
     (``2, 8/3`` and a file's number 2 become ``2,8/3`` and ``2``), so that
     equal lists digest alike."""
     kappas = [_fraction(part) for part in str(cfg["kappa"]).split(",") if part.strip()]
+    if not kappas:   # an empty table or record list would pass vacuously
+        raise SystemExit(f"kappa needs at least one value, got {cfg['kappa']!r}")
     cfg["kappa"] = ",".join(map(str, kappas))
     return kappas
 

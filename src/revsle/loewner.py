@@ -28,15 +28,20 @@ A whole-plane-type radial flow on the upper half-plane,
     dg = -(1 + g^2)/2 * (1 + eta*g)/(g - eta) dt,   eta = tan(xi),
 
 is solved exactly as well (:func:`evolve_wholeplane`).  The automorphism
-w = (g cos xi - sin xi)/(g sin xi + cos xi) of the upper half-plane fixes i
-and sends eta to 0; in w the flow reads dw = -(1 + w^2)/(2w) dt, so
-d(1 + w^2) = -(1 + w^2) dt and 1 + w^2 decays exactly as e^{-t}.  One step
-of constant driving is therefore w -> i sqrt((1 - e^{-dt}) - e^{-dt} w^2),
-a scaled backward chordal slit step, followed by the inverse rotation.
-The step runs on Python complex numbers only: cos xi_k and sin xi_k come
-from a table built once per path (:func:`_rotations`), each with imaginary
-part +0.0, which is the value CPython's float-to-complex coercion gives a
-float operand, so the states are the same bits as with float operands.
+R_a(g) = (g cos a - sin a)/(g sin a + cos a) of the upper half-plane fixes i
+and sends eta = tan(a) to 0; in w = R_xi(g) the flow reads
+dw = -(1 + w^2)/(2w) dt, so d(1 + w^2) = -(1 + w^2) dt and 1 + w^2 decays
+exactly as e^{-t}.  One step of constant driving is therefore
+w -> i sqrt((1 - e^{-dt}) - e^{-dt} w^2), a scaled backward chordal slit
+step.  The rotations compose as angles, R_a o R_b = R_{a+b}, so the loop
+never rotates back: it carries the state in the frame of the current
+driving value, v_k = e^{-dt/2} R_{xi_k}(g_k), and the step's root
+r_k = sqrt((1 - e^{-dt}) - v_k^2) moves on to the next frame by one Mobius
+map, v_{k+1} = e^{-dt/2} R_{xi_{k+1} - xi_k}(i r_k).  After the loop one
+numpy pass rotates every root back, g_{k+1} = R_{-xi_k}(i r_k).  A table
+built once per path (:func:`_rotations`) holds the four coefficients of
+each step's map as Python complex numbers and the cosines and sines of the
+back-rotation as arrays.
 """
 
 from __future__ import annotations
@@ -267,41 +272,69 @@ class RadialEvolution:
 _last_rotations: tuple = (None, None)
 
 
-def _rotations(path: DrivingPath) -> tuple[list[complex], list[complex]]:
-    """cos xi_k and sin xi_k of the path's steps as Python complex numbers
-    with imaginary part +0.0, built once for the most recent path."""
+def _times_i(x: np.ndarray) -> np.ndarray:
+    """i*x as complex128, with real part +0.0."""
+    out = np.zeros(x.shape, np.complex128)
+    out.imag = x
+    return out
+
+
+def _rotations(path: DrivingPath) -> tuple[tuple[list[complex], ...], tuple[np.ndarray, ...]]:
+    """The path's radial table, built once for the most recent path.
+
+    With s = e^{-dt/2} and d_k = xi_{k+1} - xi_k, the first part holds the
+    coefficients of v -> (r*A - B)/(r*C + D) = s R_{d_k}(i r) as Python
+    complex lists: A = i s cos d, B = s sin d, C = i sin d, D = cos d (the
+    last map, into the frame of the final grid value, feeds no state).  The
+    second holds the complex128 arrays i cos xi_k, i sin xi_k, cos xi_k and
+    sin xi_k of the steps, which rotate the roots back.  Every entry is i*x
+    or x for a real x, with a +0.0 real or imaginary part."""
     global _last_rotations
     ref, table = _last_rotations
     if ref is None or ref() is not path:
+        s = math.exp(-0.5 * path.grid.dt)
+        d = np.diff(path.values)
+        cd, sd = np.cos(d), np.sin(d)
         xi = path.values[:-1]
-        table = (np.cos(xi).astype(np.complex128).tolist(),
-                 np.sin(xi).astype(np.complex128).tolist())
+        cos, sin = np.cos(xi), np.sin(xi)
+        step = (_times_i(s * cd), (s * sd).astype(np.complex128), _times_i(sd),
+                cd.astype(np.complex128))
+        back = (_times_i(cos), _times_i(sin), cos.astype(np.complex128),
+                sin.astype(np.complex128))
+        table = (tuple(a.tolist() for a in step), back)
         _last_rotations = (weakref.ref(path), table)
     return table
 
 
 def evolve_wholeplane(path: DrivingPath, z0: complex = 1j) -> RadialEvolution:
     """Flow z0 by dg = -(1+g^2)/2 * (1+eta*g)/(g-eta) dt, eta = tan(xi),
-    with the exact one-step map of the module docstring: rotate the step's
-    driving to 0, take the slit step, rotate back.  The principal root puts
-    the image in the closed upper half-plane.
+    with the exact one-step map of the module docstring.  The principal
+    root puts every state in the closed upper half-plane.
 
-    Every operand is a Python complex: the path's cos/sin table comes from
-    :func:`_rotations` (hit by repeated calls on one path) and the step
-    constants are made complex once per call, so no step coerces a float."""
+    Since R_a o R_b = R_{a+b}, the loop carries v_k = e^{-dt/2}
+    R_{xi_k}(g_k), starting from the rotation of z0 by xi_0, and costs one
+    square root and one Mobius map per step, with Python complex operands
+    from :func:`_rotations` (hit by repeated calls on one path).  The roots
+    r_k are rotated back to the states g_{k+1} = R_{-xi_k}(i r_k) in one
+    numpy pass."""
     z0 = complex(z0)
     if not (math.isfinite(z0.real) and math.isfinite(z0.imag) and z0.imag > 0.0):
         raise ValueError(f"initial point {z0} must be finite, in the open upper half-plane")
     dt = path.grid.dt
-    p, q = complex(-math.expm1(-dt)), complex(math.exp(-dt))
-    cos, sin = _rotations(path)
+    p = complex(-math.expm1(-dt))
+    (a, b, c, d), (icos, isin, cos, sin) = _rotations(path)
+    c0, s0 = float(cos[0].real), float(sin[0].real)
+    v = math.exp(-0.5 * dt) * (z0 * c0 - s0) / (z0 * s0 + c0)
     sqrt = cmath.sqrt   # looked up per call, so a patched cmath takes effect
-    g = z0
-    states = [g]
-    append = states.append
-    for c, s in zip(cos, sin):
-        w = (g * c - s) / (g * s + c)
-        w = 1j * sqrt(p - q * w * w)
-        g = (w * c + s) / (c - w * s)
-        append(g)
-    return RadialEvolution(np.array(states, dtype=np.complex128), path)
+    roots = []
+    append = roots.append
+    for ak, bk, ck, dk in zip(a, b, c, d):
+        r = sqrt(p - v * v)
+        append(r)
+        v = (r * ak - bk) / (r * ck + dk)
+    r = np.array(roots, dtype=np.complex128)
+    states = np.empty(len(roots) + 1, dtype=np.complex128)
+    states[0] = z0
+    with np.errstate(invalid="ignore"):   # a NaN root gives NaN states, not a warning
+        np.divide(r * icos + sin, cos - r * isin, out=states[1:])
+    return RadialEvolution(states, path)

@@ -9,10 +9,12 @@ for any worker count and any span layout.
 
 Spans are chunks of at most BATCH_SIZE samples, each cut into near-equal
 parts when there are fewer chunks than workers; workers are processes forked
-for one engine call.  Driving blocks are step-major, shape (n_steps+1,
-span), so each step of a flow loop reads one contiguous row; each is filled
-through a small sample-major stage, a few samples at a time, and is the
-only (n_steps+1, span) array of its span.
+for one engine call.  A run too small to give each worker MIN_SPAN samples
+uses fewer workers, or none: it stays in the calling process.  Driving
+blocks are step-major, shape (n_steps+1, span), so each step of a flow loop
+reads one contiguous row; each is filled through a small sample-major
+stage, a few samples at a time, and is the only (n_steps+1, span) array of
+its span.
 
 The martingale test runs the one-point walk of ``observables`` on each
 span's driving block; that module states the stopping rule.  The inverse and
@@ -49,6 +51,9 @@ __all__ = [
 
 BATCH_SIZE = 4096   # samples per task at most: bounds one driving block
 _STAGE = 32         # samples per sample-major stage of a driving block
+# Samples per worker process at least: a smaller span does not pay for the
+# fork (an inverse check at 500 steps breaks even near 128 per span, 2 cores)
+MIN_SPAN = 128
 Z_THRESHOLD = 3.0   # per-checkpoint |z| limit for the verdict
 
 
@@ -116,14 +121,15 @@ def _spans(n_samples: int, workers: int) -> list[tuple[int, int]]:
 
 def _pool_size(n_samples: int, workers: int) -> int:
     """Processes that run n_samples at the requested worker count: at most
-    one per core and one per span, and 1 (inline) where fork is unavailable
-    or this process runs other threads, whose locks a child could inherit
-    held."""
-    workers = min(workers, os.cpu_count() or 1)   # more would only queue spans
+    one per core (more would only queue spans) and one per MIN_SPAN
+    samples, and 1 (inline) where fork is unavailable or this process runs
+    other threads, whose locks a child could inherit held.  _spans cuts the
+    run into at least that many spans."""
+    workers = min(workers, os.cpu_count() or 1, n_samples // MIN_SPAN)
     if (workers <= 1 or "fork" not in multiprocessing.get_all_start_methods()
             or threading.active_count() > 1):
         return 1
-    return min(workers, len(_spans(n_samples, workers)))
+    return workers
 
 
 _task: Optional[Callable] = None   # the engine's span task, in a forked worker

@@ -16,6 +16,7 @@ import revsle.cli
 import revsle.loewner
 from revsle.cli import main
 from revsle.driving import TimeGrid, sample_brownian
+from revsle.montecarlo import MIN_SPAN
 
 
 def run(tmp_path, *argv):
@@ -303,11 +304,14 @@ def test_manifest_duration_survives_a_wall_clock_step(tmp_path, monkeypatch, cap
     "fork" not in multiprocessing.get_all_start_methods() or (os.cpu_count() or 1) < 2,
     reason="the worker pool needs fork and two cores")
 @pytest.mark.parametrize("argv,recorded", [
-    (["inverse-check", "--samples", "100", "--steps", "20", "--workers", "8"],
+    (["inverse-check", "--samples", str(8 * MIN_SPAN), "--steps", "20", "--workers", "8"],
      min(8, os.cpu_count() or 1)),
+    # two spans would hold fewer than MIN_SPAN samples each
+    (["inverse-check", "--samples", str(2 * MIN_SPAN - 1), "--steps", "20", "--workers", "8"],
+     1),
     (["inverse-check", "--samples", "1", "--steps", "20", "--workers", "2"], 1),   # one span
     (["trace", "--steps", "20", "--workers", "2"], 1),   # serial
-], ids=["pooled", "one-sample", "serial"])
+], ids=["pooled", "narrow", "one-sample", "serial"])
 def test_manifest_records_the_processes_that_ran(argv, recorded, tmp_path, capsys):
     assert run(tmp_path, *argv) == 0
     manifest = json.loads((only_run_dir(tmp_path, argv[0] + "-") / "manifest.json").read_text())
@@ -338,6 +342,24 @@ def test_radial_z0_file_value_must_be_a_point(z0, tmp_path, capsys):
     assert len(err.strip().split("\n")) == 1 and "z0" in err
     assert not (tmp_path / "out").exists()
 
+
+
+@pytest.mark.parametrize("sub", ["cft-table", "virasoro-check"])
+@pytest.mark.parametrize("source,kappa", [("flag", ","), ("flag", " "), ("config", ","),
+                                          ("config", "")],
+                         ids=["flag-comma", "flag-blank", "config-comma", "config-empty"])
+def test_empty_kappa_list_is_usage_error(sub, source, kappa, tmp_path, capsys):
+    # no kappa means no table rows and no records: a verdict over nothing
+    if source == "flag":
+        argv = [sub, "--kappa", kappa]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kappa": kappa}))
+        argv = [sub, "--config", str(cfg)]
+    assert run(tmp_path / "out", *argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().split("\n")) == 1 and "kappa" in err
+    assert not (tmp_path / "out").exists()
 
 USAGE_ERRORS = {
     "radial": ["radial", "--z0", "0,-1"],

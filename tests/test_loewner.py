@@ -515,10 +515,35 @@ def test_radial_driver_at_tan_pole_matches_reference():
     assert np.max(np.abs(radial_states(path, RADIAL_POINTS) - ref)) <= 1e-12
 
 
+def moving_frame_wholeplane(path, z0):
+    """The moving-frame radial loop written out plainly, with no table or
+    memo: each step's coefficients are built from floats as it runs, as
+    Python complex numbers with a +0.0 real or imaginary part, and the
+    roots are rotated back by the same numpy expression.  The reference
+    whose bits evolve_wholeplane must keep."""
+    dt = path.grid.dt
+    p, s = complex(-math.expm1(-dt), 0.0), math.exp(-0.5 * dt)
+    d = np.diff(path.values)
+    xi = path.values[:-1]
+    cos, sin = np.cos(xi).tolist(), np.sin(xi).tolist()
+    z0 = complex(z0)
+    v = s * (z0 * cos[0] - sin[0]) / (z0 * sin[0] + cos[0])
+    roots = []
+    for cd, sd in zip(np.cos(d).tolist(), np.sin(d).tolist()):
+        r = cmath.sqrt(p - v * v)
+        roots.append(r)
+        v = ((r * complex(0.0, s * cd) - complex(s * sd, 0.0))
+             / (r * complex(0.0, sd) + complex(cd, 0.0)))
+    r = np.array(roots)
+    icos, isin = (np.array([complex(0.0, t) for t in a]) for a in (cos, sin))
+    rcos, rsin = (np.array([complex(t, 0.0) for t in a]) for a in (cos, sin))
+    return np.concatenate([[z0], (r * icos + rsin) / (rcos - r * isin)])
+
+
 def float_operand_wholeplane(path, z0):
-    """The radial loop with float cos/sin and step constants, which CPython
-    coerces to complex with imaginary part +0.0 at each operation: the
-    reference whose bits evolve_wholeplane's complex operands must keep."""
+    """The fixed-frame radial loop (rotate to the driving, slit step, rotate
+    back) with float cos/sin and step constants: an independent
+    cross-check of the moving frame's rounding."""
     p, q = -math.expm1(-path.grid.dt), math.exp(-path.grid.dt)
     xi = path.values[:-1]
     g = complex(z0)
@@ -531,9 +556,15 @@ def float_operand_wholeplane(path, z0):
     return np.array(states, dtype=np.complex128)
 
 
+def assert_near_fixed_frame(states, path, z0):
+    fixed = float_operand_wholeplane(path, z0)
+    assert np.max(np.abs(states - fixed) / np.abs(fixed)) <= 1e-13
+
+
 def assert_radial_bits(path, z0):
     got = evolve_wholeplane(path, z0=z0).states
-    assert np.array_equal(got.view(np.uint64), float_operand_wholeplane(path, z0).view(np.uint64))
+    assert np.array_equal(got.view(np.uint64), moving_frame_wholeplane(path, z0).view(np.uint64))
+    assert_near_fixed_frame(got, path, z0)
 
 
 SWEEP_POINTS = [complex(re, im) for re in (-1.5, -0.5, 0.5, 1.5)
@@ -541,7 +572,7 @@ SWEEP_POINTS = [complex(re, im) for re in (-1.5, -0.5, 0.5, 1.5)
 
 
 @pytest.mark.parametrize("kappa,steps", [(2.0, 100), (8.0, 37), (0.5, 1)])
-def test_radial_states_equal_float_operand_loop_bitwise(kappa, steps):
+def test_radial_states_equal_moving_frame_loop_bitwise(kappa, steps):
     for seed in range(5):
         path = sample_brownian(TimeGrid(1.0, steps), kappa, 1000 * seed + 17)
         for z in SWEEP_POINTS:
@@ -554,6 +585,25 @@ def test_radial_zero_driving_keeps_signed_zeros(z0):
     path = zero_path(1.0, 50, kappa=2.0)
     assert_radial_bits(path, z0)
     assert not np.any(np.signbit(evolve_wholeplane(path, z0=z0).states.real))
+
+
+@pytest.mark.parametrize("kappa", [2.0, 8.0])
+def test_radial_sweep_stays_finite_in_the_upper_half_plane(kappa):
+    # the benchmark's radial library: 100 drivers x 20 points, 100 steps
+    for seed in range(100):
+        path = sample_brownian(TimeGrid(1.0, 100), kappa, seed)
+        for z in SWEEP_POINTS:
+            states = evolve_wholeplane(path, z0=z).states
+            assert np.all(np.isfinite(states)) and np.all(states.imag >= 0.0)
+
+
+def test_radial_path_starting_off_zero_rotates_the_start_point():
+    # xi_0 != 0: the loop's first frame is the rotation of z0 by xi_0
+    path = explicit_path(TimeGrid(0.5, 4), 1.0, [0.9, 0.9, -0.4, 0.3, 1.1])
+    states = radial_states(path, RADIAL_POINTS)
+    assert np.array_equal(states[0], RADIAL_POINTS)
+    ref = dop853_radial(path.values, path.grid.dt, RADIAL_POINTS)
+    assert np.max(np.abs(states - ref)) <= 1e-12
 
 
 def test_radial_interleaved_paths_use_their_own_table():
@@ -580,7 +630,9 @@ def test_radial_table_does_not_outlive_its_path():
 def test_radial_table_is_safe_under_threads():
     # threads on different paths keep replacing the one shared table entry
     paths = [sample_brownian(TimeGrid(1.0, 30), 2.0, seed) for seed in range(6)]
-    expected = [float_operand_wholeplane(p, 0.5 + 1j).view(np.uint64) for p in paths]
+    expected = [moving_frame_wholeplane(p, 0.5 + 1j).view(np.uint64) for p in paths]
+    for p, bits in zip(paths, expected):
+        assert_near_fixed_frame(bits.view(np.complex128), p, 0.5 + 1j)
 
     def sweep(i):
         for _ in range(40):

@@ -11,9 +11,9 @@ import pytest
 from revsle.driving import TimeGrid, sample_brownian
 from revsle.loewner import evolve_backward
 import revsle.montecarlo
-from revsle.montecarlo import (_STAGE, BATCH_SIZE, McConfig, _pool_size, _run_batched,
-                               _xi_block, run_composed_stats, run_inverse_consistency,
-                               run_martingale_test)
+from revsle.montecarlo import (_STAGE, BATCH_SIZE, MIN_SPAN, McConfig, _pool_size,
+                               _run_batched, _xi_block, run_composed_stats,
+                               run_inverse_consistency, run_martingale_test)
 from revsle.observables import ObservableSpec, eval_one_point
 
 
@@ -134,11 +134,21 @@ def test_run_batched_forks_and_keeps_batch_order(n):
     idx, pids = _run_batched(pid_task, n, 2)
     assert np.array_equal(idx_inline, np.arange(n)) and np.array_equal(idx, np.arange(n))
     assert set(pids_inline.tolist()) == {os.getpid()}
-    if n == 1:
-        assert set(pids.tolist()) == {os.getpid()}   # one span: nothing to share, run inline
+    if n < 2 * MIN_SPAN:
+        # two spans would hold fewer than MIN_SPAN samples each: run inline
+        assert set(pids.tolist()) == {os.getpid()}
     else:
-        # one chunk is cut into two spans, so even n = 3 runs in two children
+        # one chunk is cut into two spans, or the run spans two chunks
         assert os.getpid() not in set(pids.tolist()) and len(set(pids.tolist())) == 2
+
+
+@can_fork
+def test_pool_gives_each_process_min_span_samples(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert _pool_size(2 * MIN_SPAN - 1, 2) == 1
+    assert _pool_size(2 * MIN_SPAN, 2) == 2
+    assert _pool_size(3 * MIN_SPAN - 1, 3) == 2
+    assert _pool_size(8 * MIN_SPAN, 16) == 8   # and one per core
 
 
 @pytest.mark.parametrize("patch", ["no-fork", "one-core", "other-thread"])
