@@ -9,10 +9,12 @@ file value is parsed by its key's flag type, and a kappa list is written
 back in one spelling, so both digest alike.  Each run writes its data files
 plus a manifest into one directory named by the subcommand and a digest of
 the canonical config, so identical configs land in the same place with
-byte-identical data; timestamps live only in the manifest.  The directory
-is made only after the inputs are validated and the results computed, so a
-usage error leaves none.  Exit codes: 0 pass, 1 verdict failure (a
-non-finite point for ``trace`` and ``radial``), 2 usage error.
+byte-identical data; timestamps and the environment (the numpy and Python
+versions, which the driving stream depends on, and the core count) live only
+in the manifest.  The directory is made only after the inputs are validated
+and the results computed, so a usage error leaves none.  Exit codes: 0 pass,
+1 verdict failure (a non-finite point for ``trace`` and ``radial``, a
+non-finite driving value for ``martingale-test``), 2 usage error.
 
 ``driving`` writes the sampled driving path alone; ``trace`` and ``radial``
 run a flow on the same path.
@@ -32,6 +34,7 @@ import functools
 import hashlib
 import json
 import os
+import platform
 import sys
 import time
 from fractions import Fraction
@@ -220,6 +223,9 @@ def _martingale(cfg, workers):
                   master_seed=int(cfg["seed"]), observable=obs,
                   eps_stop=float(cfg["eps-stop"]))
     report = run_martingale_test(mc, workers=workers)
+    if report.n_nonfinite:
+        print(f"martingale-test: {report.n_nonfinite} samples with a non-finite "
+              f"driving value", file=sys.stderr)
     lines = [f"t={row.t:.6g} mean={row.mean:.8g} z={row.z:+.3f} "
              f"alive={row.n_alive} stopped={row.n_stopped}" for row in report.checkpoints]
     lines.append(f"verdict: {'pass' if report.verdict else 'FAIL'}")
@@ -401,6 +407,8 @@ def _run(args) -> int:
         "outputs": list(files),
         "duration_seconds": time.perf_counter() - t0,
         "created_unix": created,
+        "env": {"numpy": np.__version__, "python": platform.python_version(),
+                "cpu_count": os.cpu_count()},
     }
     (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     print(run_dir if text is None else text)

@@ -1,25 +1,39 @@
 """Brownian driving functions for Loewner flows.
 
 A driving path is xi_k = sqrt(kappa) * B(t_k) on the uniform capacity-time
-grid t_k = k*T/n.  Increments come from a counter-based recipe, so any single
-increment is recomputable in isolation (``raw_normals`` with its ``block``)
-and ensembles parallelize with no shared state:
+grid t_k = k*T/n.  Increments come from a counter-based recipe in the style
+of Salmon et al., "Parallel random numbers: as easy as 1, 2, 3" (SC'11):
+every (seed, index, leg) has its own Philox4x64 stream, so ensembles
+parallelize with no shared state and a sample's values do not depend on
+which worker drew them:
 
-    raw_k = k-th 64-bit word of the Philox4x64 stream keyed by ``seed``
-    u_k   = ((raw_k >> 11) + 1/2) * 2**-53        uniform in (0, 1)
-    z_k   = ndtri(u_k)                            standard normal
+    key      = seed mod 2**128
+    counter  = [position (words 0-1), index (word 2), leg (word 3)]
+    z_0, z_1, ... = numpy Generator(Philox(key, counter=index*2**128
+                    + leg*2**192)).standard_normal(n)   (ziggurat)
     xi_{k+1} - xi_k = sqrt(kappa * dt) * z_k
 
-This recipe is part of the reproducibility contract: identical
-(grid, kappa, seed) always produce bitwise-identical paths, and the raw
-normals do not depend on kappa (so paths scale exactly with sqrt(kappa)).
+Ensembles draw sample i of a run as (master_seed, index=i); composed runs
+draw its forward leg as leg 0 and its backward leg as leg 1.  Seeds that
+differ mod 2**128 are distinct keys, so runs at nearby seeds share no
+sample.  The ziggurat (Marsaglia and Tsang, J. Stat. Softw. 5, 2000)
+returns finite normals only, and it may take more than one word for a
+normal, so a single increment is not recomputable on its own; a prefix is:
+the first m normals of a stream do not depend on how many more are drawn.
 
-Each thread keeps one Philox generator and one state dict.  A call re-keys
-the generator by setting only that dict's key (``seed mod 2**128``) and
-counter (the requested block) words and assigning it, buffer empty.  This
-yields the same words as a fresh ``Philox(key=seed)``, whose construction
-also draws a SeedSequence from OS entropy and costs more than the words
-themselves, and it leaves no state from one call to the next.
+This recipe is part of the reproducibility contract: identical
+(grid, kappa, seed, index) always produce bitwise-identical paths under one
+numpy version, and the raw normals do not depend on kappa (so paths scale
+exactly with sqrt(kappa)).  numpy's NEP 19 does not promise Generator
+streams across numpy versions, so the CLI records numpy's version in each
+manifest.
+
+Each thread keeps one Philox generator, one Generator on top of it and one
+state dict.  A call re-keys the generator by setting only that dict's key
+and counter words and assigning it, buffer empty.  This yields the same
+normals as a fresh ``Generator(Philox(key=..., counter=...))``, whose
+construction also draws a SeedSequence from OS entropy and costs more than
+the normals themselves, and it leaves no state from one call to the next.
 """
 
 from __future__ import annotations
@@ -29,14 +43,15 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Philox
-from scipy.special import ndtri
+from numpy.random import Generator, Philox
 
 __all__ = ["TimeGrid", "DrivingPath", "sample_brownian", "explicit_path", "raw_normals"]
 
 _KEY_MOD = 1 << 128  # Philox key width
 _WORD = (1 << 64) - 1
-_local = threading.local()  # .gen: this thread's re-keyable Philox; .state: its state dict
+# .bits: this thread's re-keyable Philox; .gen: the Generator on it; .state:
+# its state dict
+_local = threading.local()
 
 
 @dataclass(frozen=True)
@@ -90,41 +105,36 @@ class DrivingPath:
         object.__setattr__(self, "values", vals)
 
 
-def raw_normals(seed: int, n: int, block: int = 0) -> np.ndarray:
-    """Standard normals 4*block .. 4*block+n-1 of the stream keyed by seed.
-
-    Philox counters advance in blocks of four 64-bit words, so normal k is
-    ``raw_normals(seed, k % 4 + 1, block=k // 4)[-1]``, computed without its
-    predecessors."""
+def raw_normals(seed: int, n: int, index: int = 0, leg: int = 0) -> np.ndarray:
+    """The first n standard normals of the stream (seed, index, leg); index
+    and leg must lie in [0, 2**64)."""
+    if not (0 <= index <= _WORD and 0 <= leg <= _WORD):
+        raise ValueError(f"index and leg must lie in [0, 2**64), got {index}, {leg}")
     gen = getattr(_local, "gen", None)
     if gen is None:
-        gen = _local.gen = Philox(0)
+        _local.bits = Philox(0)
+        gen = _local.gen = Generator(_local.bits)
         _local.state = {"bit_generator": "Philox",
                         "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
                         "buffer": [0, 0, 0, 0], "buffer_pos": 4,
                         "has_uint32": 0, "uinteger": 0}
     words = _local.state["state"]
     key = seed % _KEY_MOD
-    words["counter"] = [block & _WORD, (block >> 64) & _WORD,
-                        (block >> 128) & _WORD, (block >> 192) & _WORD]
+    words["counter"] = [0, 0, index, leg]
     words["key"] = [key & _WORD, key >> 64]
-    gen.state = _local.state
-    raw = gen.random_raw(n)
-    raw >>= np.uint64(11)
-    u = np.add(raw, 0.5)   # float64(raw) + 0.5, exact below 2**53
-    u *= 2.0**-53
-    return ndtri(u, out=u)
+    _local.bits.state = _local.state
+    return gen.standard_normal(n)
 
 
-def sample_brownian(grid: TimeGrid, kappa: float, seed: int) -> DrivingPath:
+def sample_brownian(grid: TimeGrid, kappa: float, seed: int, index: int = 0) -> DrivingPath:
     """Sample xi_t = sqrt(kappa) B_t on the grid, xi_0 = 0.
 
-    Deterministic in (grid, kappa, seed).  Increment k is
-    sqrt(kappa*dt) times standard normal k of the stream keyed by seed.
+    Deterministic in (grid, kappa, seed, index).  Increment k is
+    sqrt(kappa*dt) times normal k of the stream (seed, index, leg 0).
     """
     if not 0.0 < kappa < math.inf:
         raise ValueError(f"kappa must be positive and finite, got {kappa}")
-    z = raw_normals(seed, grid.n_steps)
+    z = raw_normals(seed, grid.n_steps, index)
     values = np.empty(grid.n_steps + 1)
     values[0] = 0.0
     np.cumsum(np.sqrt(kappa * grid.dt) * z, out=values[1:])

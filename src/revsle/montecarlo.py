@@ -1,7 +1,8 @@
 """Ensemble engine for martingale and consistency checks of the flows.
 
-Samples are keyed by (master_seed + index) through the counter-based driving
-generator, so a sample's values do not depend on which span computed them.
+Sample i of a run draws the driving stream (master_seed, index=i) of the
+counter-based generator, so a sample's values do not depend on which span
+computed them.
 Span tasks return per-sample arrays, which the calling process joins in
 sample order and reduces at once: counts, and math.fsum, whose exact
 rounding makes a sum independent of order.  A run is bitwise reproducible
@@ -17,7 +18,8 @@ stage, a few samples at a time, and is the only (n_steps+1, span) array of
 its span.
 
 The martingale test runs the one-point walk of ``observables`` on each
-span's driving block; that module states the stopping rule.  The inverse and
+span's driving block; that module states the stopping rule.  A sample whose
+driving block holds a non-finite value fails the verdict.  The inverse and
 composed engines run each leg through one slit-step loop, ``_flow``.
 """
 
@@ -107,6 +109,7 @@ class McReport:
     eps_stop: float
     f0: float
     checkpoints: tuple[CheckpointRow, ...]
+    n_nonfinite: int   # samples whose driving holds a non-finite value
     verdict: bool
 
 
@@ -178,9 +181,11 @@ def _flow(w: np.ndarray, rows, c: float, alive: Optional[np.ndarray] = None) -> 
 
 
 def _xi_block(master_seed: int, lo: int, hi: int, kappa: float,
-              dt: float, n_steps: int) -> np.ndarray:
+              dt: float, n_steps: int, leg: int = 0) -> np.ndarray:
     """Driving values for samples lo..hi-1, shape (n_steps+1, hi-lo).
-    Column i reproduces sample_brownian(grid, kappa, master_seed + lo + i).
+    Column i is the scaled running sum of the stream (master_seed, lo + i,
+    leg); for leg 0 it reproduces sample_brownian(grid, kappa, master_seed,
+    index=lo + i).
 
     Groups of at most _STAGE samples are drawn, scaled and summed in one
     small sample-major stage, with the operations of sample_brownian in the
@@ -194,7 +199,7 @@ def _xi_block(master_seed: int, lo: int, hi: int, kappa: float,
     for s in range(0, b, _STAGE):
         group = stage[:min(_STAGE, b - s)]
         for j, row in enumerate(group):
-            row[:] = raw_normals(master_seed + lo + s + j, n_steps)
+            row[:] = raw_normals(master_seed, n_steps, lo + s + j, leg)
         group *= scale
         np.cumsum(group, axis=1, out=group)
         xi[1:, s:s + len(group)] = group.T
@@ -215,7 +220,7 @@ def run_martingale_test(config: McConfig, workers: int = 1) -> McReport:
 
     Per checkpoint: mean, standard error, and z = (mean - F_0)/stderr over
     all samples (stopped samples contribute their frozen value).  Verdict is
-    True when every |z| <= 3.
+    True when every |z| <= 3 and every driving value is finite.
     """
     y = config.observable.points[0]
     a, b = config.observable.exponents
@@ -225,16 +230,22 @@ def run_martingale_test(config: McConfig, workers: int = 1) -> McReport:
 
     def batch(lo: int, hi: int):
         xi = _xi_block(config.master_seed, lo, hi, config.kappa, dt, config.n_steps)
-        return _one_point_walk(xi, 4.0 * dt, y, a, b, config.eps_stop, check_idx)
+        # the walk would freeze a sample at a non-finite X as if it stopped;
+        # a running sum keeps a non-finite term, so the last row shows them all
+        nonfinite = ~np.isfinite(xi[-1])
+        return (*_one_point_walk(xi, 4.0 * dt, y, a, b, config.eps_stop, check_idx),
+                nonfinite)
 
-    frozen_at, alive_at = _run_batched(batch, config.n_samples, workers)
+    frozen_at, alive_at, nonfinite = _run_batched(batch, config.n_samples, workers)
+    n_nonfinite = int(np.count_nonzero(nonfinite))
     n = config.n_samples
     checkpoints = []
     all_ok = True
     for k, f, live in zip(check_idx, frozen_at.T, alive_at.T):
         n_alive = int(np.count_nonzero(live))
         mean = math.fsum(f) / n
-        var = max((math.fsum(f * f) - n * mean * mean) / (n - 1), 0.0)
+        dev = f - mean
+        var = math.fsum(dev * dev) / (n - 1)
         stderr = math.sqrt(var / n)
         if mean == f0:
             z = 0.0
@@ -246,7 +257,7 @@ def run_martingale_test(config: McConfig, workers: int = 1) -> McReport:
         checkpoints.append(CheckpointRow(k * dt, mean, stderr, z, n_alive, n - n_alive))
     return McReport(config.kappa, config.horizon, config.n_steps, n,
                     config.master_seed, config.eps_stop, float(f0),
-                    tuple(checkpoints), all_ok)
+                    tuple(checkpoints), n_nonfinite, all_ok and n_nonfinite == 0)
 
 
 @dataclass(frozen=True)
@@ -328,12 +339,10 @@ def run_composed_stats(kappa: float, horizon: float, n_steps: int, n_samples: in
     four_dt = 4.0 * dt
 
     def batch(lo: int, hi: int):
-        if shared_driving:
-            xi_f = xi_b = _xi_block(master_seed, lo, hi, kappa, dt, n_steps)
-        else:
-            # sample i draws seeds 2*master_seed + 2i (forward) and + 2i+1 (backward)
-            xi_all = _xi_block(2 * master_seed, 2 * lo, 2 * hi, kappa, dt, n_steps)
-            xi_f, xi_b = xi_all[:, 0::2], xi_all[:, 1::2]
+        xi_f = _xi_block(master_seed, lo, hi, kappa, dt, n_steps)
+        # sample i drives its backward leg with leg 1 of its stream
+        xi_b = xi_f if shared_driving else _xi_block(master_seed, lo, hi, kappa, dt,
+                                                      n_steps, leg=1)
         w = np.tile(pts, (hi - lo, 1))
         alive = np.ones(w.shape, dtype=bool)
         w = _flow(w, xi_f[:n_steps], four_dt, alive)    # forward leg (may swallow)

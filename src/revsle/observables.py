@@ -32,7 +32,9 @@ discrete scheme would otherwise leave the real axis).  Frozen samples keep
 contributing their stopped value, so the ensemble mean of a drift-free
 observable stays at its t=0 value.  The walk keeps a frozen value as its two
 log factors, log g'(y) and log X, and exponentiates them only at the steps
-it records.  The martingale engine runs the walk on a block of drivings;
+it records.  Each step adds -log1p(-4 dt / X^2) / 2 to log g'(y), which is
+accurate when 4 dt << X^2, where log X - log sqrt(X^2 - 4 dt) would cancel.
+The martingale engine runs the walk on a block of drivings;
 :func:`eval_one_point` is its single-sample case.
 """
 
@@ -220,33 +222,40 @@ def _one_point_walk(xi: np.ndarray, four_dt: float, y: float, a: float, b: float
     :func:`_check_one_point`."""
     m = xi.shape[1]
     w = np.full(m, float(y))
+    x = np.empty(m)
+    x2 = np.empty(m)
     alive = np.ones(m, dtype=bool)
-    # log g' and log X at each sample's last evaluable step (step 0 sets
-    # both), and log g' at the next step for the samples that take it
-    log_gp = np.zeros(m)
+    above = np.empty(m, dtype=bool)
+    # log g' = -log_sum / 2 and log X at each sample's last evaluable step
+    # (step 0 sets both), and the next step's term of log_sum,
+    # log1p(-4 dt / X^2) = 2 log(sqrt(X^2 - 4 dt) / X) without cancellation
+    log_sum = np.zeros(m)
     log_x = np.full(m, math.nan)
-    next_gp = np.zeros(m)
+    term = np.zeros(m)
     exponent_at, alive_at = [], []
     # a sample that cannot step never steps again: the logs, roots and
     # positions computed for it are unused
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(xi.shape[0]):
-            x = w - xi[k]
+            np.subtract(w, xi[k], out=x)
             # below eps_stop the sample froze at its previous value; above it
             # the state is evaluable even when no further real step exists
-            above = alive & (x > eps_stop)
-            np.copyto(log_gp, next_gp, where=above)
-            lx = np.log(x)
-            np.copyto(log_x, lx, where=above)
-            x2 = x * x
-            alive = above & (x2 > four_dt)
+            np.greater(x, eps_stop, out=above)
+            above &= alive
+            np.add(log_sum, term, out=log_sum, where=above)
+            np.log(x, out=log_x, where=above)
+            np.multiply(x, x, out=x2)
+            alive = np.greater(x2, four_dt)   # a new array: alive_at keeps it
+            alive &= above
             if k in record:
-                exponent_at.append(a * log_gp + b * log_x)
+                exponent_at.append((-0.5 * a) * log_sum + b * log_x)
                 alive_at.append(alive)
             if k + 1 < xi.shape[0]:
-                root = np.sqrt(x2 - four_dt)
-                w = xi[k] + root
-                next_gp = log_gp + lx - np.log(root)
+                np.subtract(x2, four_dt, out=w)
+                np.sqrt(w, out=w)
+                w += xi[k]
+                np.divide(-four_dt, x2, out=term)
+                np.log1p(term, out=term)
     return np.exp(np.stack(exponent_at, axis=1)), np.stack(alive_at, axis=1)
 
 

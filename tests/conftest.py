@@ -18,3 +18,18 @@ def nan_in_sample_1(monkeypatch):
         return out
 
     return lambda: monkeypatch.setattr(revsle.montecarlo, "slit_sqrt_vec", poisoned)
+
+
+@pytest.fixture
+def nonfinite_driving(monkeypatch):
+    """Call it to make normal 50 of sample 5 +inf and of sample 9 NaN in the
+    ensemble engines' driving streams."""
+    original = revsle.montecarlo.raw_normals
+
+    def poisoned(seed, n, index=0, leg=0):
+        z = original(seed, n, index, leg)
+        if index in (5, 9):
+            z[50] = math.inf if index == 5 else math.nan
+        return z
+
+    return lambda: monkeypatch.setattr(revsle.montecarlo, "raw_normals", poisoned)

@@ -6,12 +6,17 @@ import json
 import math
 import multiprocessing
 import os
+import platform
+import subprocess
+import sys
 import threading
 import time
 import types
 
+import numpy as np
 import pytest
 
+import revsle
 import revsle.cli
 import revsle.loewner
 from revsle.cli import main
@@ -132,8 +137,8 @@ def test_composed_subcommand(tmp_path, capsys):
 # names are the file's keys.
 REPORT_KEYS = {
     "martingale-test": (["--samples", "200", "--steps", "10"],
-                        "checkpoints eps_stop f0 horizon kappa master_seed n_samples "
-                        "n_steps verdict"),
+                        "checkpoints eps_stop f0 horizon kappa master_seed n_nonfinite "
+                        "n_samples n_steps verdict"),
     "inverse-check": (["--samples", "3", "--steps", "10"],
                       "bound horizon kappa master_seed max_error mean_error n_samples "
                       "n_steps passed test_points"),
@@ -263,6 +268,54 @@ def test_nonfinite_sample_flips_exit_code(sub, tmp_path, nan_in_sample_1, capsys
     assert run(tmp_path / "clean", *argv) == 0
     nan_in_sample_1()
     assert run(tmp_path / "nan", *argv) == 1
+
+
+def test_nonfinite_driving_flips_the_martingale_exit_code(tmp_path, nonfinite_driving,
+                                                          capsys):
+    argv = ["martingale-test", "--steps", "100", "--samples", "2000", "--seed", "11"]
+    assert run(tmp_path / "clean", *argv) == 0
+    capsys.readouterr()
+    nonfinite_driving()
+    assert run(tmp_path / "inf", *argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "martingale-test: 2 samples with a non-finite driving value"]
+    report = json.loads((only_run_dir(tmp_path / "inf", "martingale-test-")
+                         / "report.json").read_text())
+    assert report["n_nonfinite"] == 2 and report["verdict"] is False
+
+
+def test_manifest_records_the_environment(tmp_path, capsys):
+    # the driving stream is numpy's Generator, which NEP 19 does not fix
+    # across numpy versions; the environment stays out of the data files
+    argv = ["driving", "--steps", "10"]
+    assert run(tmp_path / "a", *argv) == 0
+    assert run(tmp_path / "b", *argv) == 0
+    a, b = (only_run_dir(tmp_path / r, "driving-") for r in "ab")
+    env = json.loads((a / "manifest.json").read_text())["env"]
+    assert env == {"numpy": np.__version__, "python": platform.python_version(),
+                   "cpu_count": os.cpu_count()}
+    assert (a / "path.csv").read_bytes() == (b / "path.csv").read_bytes()
+
+
+NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None   # from here on, importing scipy raises
+from revsle.cli import main
+out = sys.argv[1]
+assert main(["martingale-test", "--samples", "200", "--steps", "10", "--out", out]) == 0
+assert main(["trace", "--steps", "10", "--out", out]) == 0
+assert [m for m in sys.modules if m.partition(".")[0] == "scipy"] == ["scipy"]
+"""
+
+
+def test_runtime_loads_no_scipy(tmp_path):
+    # scipy is a test dependency only; importing it would cost a fresh
+    # process most of its set-up time
+    src = os.path.dirname(os.path.dirname(revsle.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("sub,files", [

@@ -3,8 +3,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from numpy.random import Philox
-from scipy.special import ndtri
+from numpy.random import Generator, Philox
 
 from revsle.driving import (DrivingPath, TimeGrid, explicit_path, raw_normals,
                             sample_brownian)
@@ -90,42 +89,66 @@ def test_scaling_in_sqrt_kappa():
     np.testing.assert_allclose(by3, 3.0 * base.values, rtol=0.0, atol=1e-13)
 
 
-def reference_normals(seed, n):
+def reference_normals(seed, n, index=0, leg=0):
     """The module docstring's recipe on a fresh generator for every call."""
-    raw = Philox(key=seed % 2**128).random_raw(n)
-    return ndtri(((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
+    counter = index * 2**128 + leg * 2**192
+    return Generator(Philox(key=seed % 2**128, counter=counter)).standard_normal(n)
 
 
 STREAM_SEEDS = [0, 1, 2**64 - 1, 2**64, 2**127 + 5, 2**128 + 3, -7]
+# (index, leg) pairs: the first stream, a composed backward leg, and the
+# largest index and leg, each alone in its counter word
+STREAMS = [(0, 0), (3, 1), (2**64 - 1, 0), (5, 2**64 - 1)]
 
 
 @pytest.mark.parametrize("seed", STREAM_SEEDS)
 def test_raw_normals_match_fresh_philox(seed):
     assert np.array_equal(raw_normals(seed, 500), reference_normals(seed, 500))
+    for index, leg in STREAMS:
+        assert np.array_equal(raw_normals(seed, 500, index, leg),
+                              reference_normals(seed, 500, index, leg))
 
 
 def test_raw_normals_leave_no_state_after_odd_lengths():
-    # 13 and 7 words leave a part-used block of four in the generator
+    # 13 and 7 normals leave a part-used block of four words in the generator
     for n in (13, 7, 13, 1, 6):
         for seed in STREAM_SEEDS:
-            assert np.array_equal(raw_normals(seed, n), reference_normals(seed, n))
+            for index, leg in STREAMS:
+                assert np.array_equal(raw_normals(seed, n, index, leg),
+                                      reference_normals(seed, n, index, leg))
 
 
 def test_raw_normals_match_under_interleaving_threads():
-    seeds = [s * 2**61 + s for s in range(64)]
-    expected = [reference_normals(s, 13 + s % 5) for s in seeds]
+    streams = [(s * 2**61 + s, s % 7, s % 2) for s in range(64)]
+    expected = [reference_normals(s, 13 + s % 5, i, leg) for s, i, leg in streams]
     with ThreadPoolExecutor(max_workers=8) as ex:
-        got = list(ex.map(lambda s: raw_normals(s, 13 + s % 5), seeds))
+        got = list(ex.map(lambda st: raw_normals(st[0], 13 + st[0] % 5, st[1], st[2]),
+                          streams))
     for a, b in zip(got, expected):
         assert np.array_equal(a, b)
 
 
-def test_normal_increment_matches_stream():
-    # normal k alone: its block of four words, cut after it
-    for seed in (31415, 2**64 + 9, -7):
-        zs = reference_normals(seed, 14)
-        for k in range(14):
-            assert raw_normals(seed, k % 4 + 1, block=k // 4)[-1] == zs[k]
+def test_raw_normals_prefix_does_not_depend_on_length():
+    # the ziggurat may take more than one word for a normal, but the first m
+    # normals of a stream are the same however many more are drawn
+    for seed, index, leg in ((31415, 0, 0), (2**64 + 9, 17, 1), (-7, 2**64 - 1, 0)):
+        zs = raw_normals(seed, 2000, index, leg)
+        for m in (0, 1, 3, 4, 5, 13, 1999):
+            assert np.array_equal(raw_normals(seed, m, index, leg), zs[:m])
+
+
+def test_raw_normals_reject_out_of_range_counter_words():
+    for index, leg in ((-1, 0), (2**64, 0), (0, -1), (0, 2**64)):
+        with pytest.raises(ValueError):
+            raw_normals(0, 5, index, leg)
+
+
+def test_sample_brownian_index_selects_the_stream():
+    g = TimeGrid(0.5, 30)
+    for seed, index in ((0, 0), (7, 1), (2**64, 4099)):
+        z = reference_normals(seed, 30, index)
+        expected = np.concatenate([[0.0], np.cumsum(np.sqrt(2.0 * g.dt) * z)])
+        assert np.array_equal(sample_brownian(g, 2.0, seed, index=index).values, expected)
 
 
 def test_quadratic_variation_explicit():

@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+import statistics
 import threading
 import time
 import tracemalloc
@@ -8,13 +9,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from revsle.driving import TimeGrid, sample_brownian
+from revsle.driving import TimeGrid, raw_normals, sample_brownian
 from revsle.loewner import evolve_backward
 import revsle.montecarlo
 from revsle.montecarlo import (_STAGE, BATCH_SIZE, MIN_SPAN, McConfig, _pool_size,
                                _run_batched, _xi_block, run_composed_stats,
                                run_inverse_consistency, run_martingale_test)
-from revsle.observables import ObservableSpec, eval_one_point
+from revsle.observables import ObservableSpec, _one_point_walk, eval_one_point
 
 
 def one_point(y, a, b):
@@ -75,7 +76,8 @@ def test_xi_block_columns_are_sampled_paths(master, lo, hi, n_steps):
     xi = _xi_block(master, lo, hi, 2.5, grid.dt, grid.n_steps)
     assert xi.shape == (n_steps + 1, hi - lo) and xi.flags.c_contiguous
     for i in range(hi - lo):
-        assert np.array_equal(xi[:, i], sample_brownian(grid, 2.5, master + lo + i).values)
+        assert np.array_equal(xi[:, i],
+                              sample_brownian(grid, 2.5, master, index=lo + i).values)
 
 
 def test_xi_block_is_the_only_block_of_its_span():
@@ -89,16 +91,43 @@ def test_xi_block_is_the_only_block_of_its_span():
     assert peak <= 1.1 * xi.nbytes
 
 
-def test_xi_block_composed_layout():
-    # run_composed_stats: sample i drives forward with seed 2*master + 2i and
-    # backward with 2*master + 2i + 1
+def test_xi_block_legs_are_the_sample_streams():
+    # column j of leg L is the scaled running sum of the stream (master, lo + j, L)
     grid, master, lo, hi = TimeGrid(0.25, 9), 5, 2, 9
-    xi = _xi_block(2 * master, 2 * lo, 2 * hi, 4.0, grid.dt, grid.n_steps)
-    for j, i in enumerate(range(lo, hi)):
-        fwd = sample_brownian(grid, 4.0, 2 * master + 2 * i).values
-        bwd = sample_brownian(grid, 4.0, 2 * master + 2 * i + 1).values
-        assert np.array_equal(xi[:, 0::2][:, j], fwd)
-        assert np.array_equal(xi[:, 1::2][:, j], bwd)
+    scale = np.sqrt(4.0 * grid.dt)
+    blocks = [_xi_block(master, lo, hi, 4.0, grid.dt, grid.n_steps, leg=leg) for leg in (0, 1)]
+    for leg, xi in enumerate(blocks):
+        for j, i in enumerate(range(lo, hi)):
+            z = raw_normals(master, grid.n_steps, index=i, leg=leg)
+            assert xi[0, j] == 0.0
+            assert np.array_equal(xi[1:, j], np.cumsum(scale * z))
+    # the two legs of one sample differ, at every step after the first
+    assert np.all(blocks[0][1:] != blocks[1][1:])
+
+
+@pytest.mark.parametrize("shared,legs", [(False, [0, 1]), (True, [0])])
+def test_composed_drives_forward_with_leg_0_and_backward_with_leg_1(shared, legs,
+                                                                     monkeypatch):
+    calls = []
+    original = revsle.montecarlo._xi_block
+
+    def spy(master_seed, lo, hi, *args, leg=0):
+        calls.append((master_seed, lo, hi, leg))
+        return original(master_seed, lo, hi, *args, leg=leg)
+
+    monkeypatch.setattr(revsle.montecarlo, "_xi_block", spy)
+    run_composed_stats(4.0, 0.25, 5, 10, shared_driving=shared, master_seed=5)
+    assert calls == [(5, 0, 10, leg) for leg in legs]
+
+
+def test_nearby_master_seeds_share_no_sample_column():
+    # a key of master_seed + index would give seed 8's sample i to seed 7
+    # as sample i + 1
+    grid = TimeGrid(0.05, 20)
+    a = _xi_block(7, 0, 300, 4.0, grid.dt, grid.n_steps)
+    b = _xi_block(8, 0, 300, 4.0, grid.dt, grid.n_steps)
+    last = np.concatenate([a[-1], b[-1]])
+    assert np.unique(last).size == last.size
 
 
 # 4100 samples make two chunks, so four workers (capped at the core count)
@@ -243,7 +272,7 @@ def test_engine_is_eval_one_point_per_sample(kappa, horizon, n_steps, eps_stop, 
     cfg = McConfig(kappa=kappa, horizon=horizon, n_steps=n_steps, n_samples=300,
                    master_seed=9, observable=DRIFT_FREE, eps_stop=eps_stop)
     grid = TimeGrid(horizon, n_steps)
-    outs = [eval_one_point(evolve_backward(sample_brownian(grid, kappa, 9 + i)),
+    outs = [eval_one_point(evolve_backward(sample_brownian(grid, kappa, 9, index=i)),
                            1.0, -3.0, 3.0, eps_stop=eps_stop) for i in range(300)]
     # one chunk, then three chunks of at most 128 samples
     for batch_size in (BATCH_SIZE, 128):
@@ -251,6 +280,20 @@ def test_engine_is_eval_one_point_per_sample(kappa, horizon, n_steps, eps_stop, 
         last = run_martingale_test(cfg).checkpoints[-1]
         assert math.fsum(o.value for o in outs) / 300 == last.mean
         assert sum(o.stopped for o in outs) == last.n_stopped > 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_nonfinite_driving_fails_the_verdict(workers, nonfinite_driving):
+    # the walk would freeze both samples as if they had stopped, and the
+    # verdict would pass
+    cfg = McConfig(kappa=4.0, horizon=0.05, n_steps=100, n_samples=2000,
+                   master_seed=11, observable=DRIFT_FREE)
+    clean = run_martingale_test(cfg, workers=workers)
+    assert clean.verdict and clean.n_nonfinite == 0
+    nonfinite_driving()
+    rep = run_martingale_test(cfg, workers=workers)
+    assert rep.n_nonfinite == 2
+    assert not rep.verdict
 
 
 def test_drift_free_pair_passes():
@@ -281,6 +324,22 @@ def test_reproducible_across_worker_counts():
     rep1 = run_martingale_test(cfg, workers=1)
     rep3 = run_martingale_test(cfg, workers=3)
     assert repr(rep1) == repr(rep3)
+
+
+def test_checkpoint_variance_is_two_pass():
+    # far from the seed the values are near 1e6 and spread by about 0.5: a
+    # one-pass sum of squares minus n mean^2 loses about three digits here
+    n, n_steps, y = 300, 20, 1e6
+    cfg = McConfig(kappa=4.0, horizon=0.05, n_steps=n_steps, n_samples=n,
+                   master_seed=2, observable=one_point(y, 1.0, 1.0))
+    rep = run_martingale_test(cfg)
+    dt = 0.05 / n_steps
+    xi = _xi_block(2, 0, n, 4.0, dt, n_steps)
+    frozen, _ = _one_point_walk(xi, 4.0 * dt, y, 1.0, 1.0, 1e-3, cfg.checkpoint_indices())
+    for row, f in zip(rep.checkpoints, frozen.T):
+        assert row.mean == math.fsum(f) / n
+        exact = statistics.variance(f.tolist())   # in exact fractions
+        assert row.stderr == pytest.approx(math.sqrt(exact / n), rel=1e-9)
 
 
 def test_stderr_scales_with_sample_count():

@@ -198,7 +198,9 @@ def reference_walk(xi, four_dt, y, a, b, eps_stop, record):
         if k + 1 < xi.shape[0]:
             root = np.sqrt(np.where(alive, x2 - four_dt, 1.0))
             w = np.where(alive, xi[k] + root, w)
-            log_gp = np.where(alive, log_gp + log_x - np.log(root), log_gp)
+            # log g' grows by log(X / root) = -log1p(-4 dt / X^2) / 2
+            step = -0.5 * np.log1p(-four_dt / np.where(alive, x2, 1.0))
+            log_gp = np.where(alive, log_gp + step, log_gp)
     return np.stack(frozen_at, axis=1), np.stack(alive_at, axis=1)
 
 
@@ -219,6 +221,17 @@ def test_walk_equals_the_reference_walk(kappa, horizon, n_steps, y, b, eps_stop)
     assert np.array_equal(frozen, ref_frozen, equal_nan=True)
     assert np.array_equal(alive, ref_alive)
     assert np.count_nonzero(~alive[:, -1]) > (0 if kappa == 4.0 else 500)
+
+
+def test_walk_derivative_does_not_cancel_on_fine_grids():
+    # zero driving: g' = y / sqrt(y^2 - 4T) exactly, and each step's factor
+    # X / sqrt(X^2 - 4 dt) is within 1e-7 of 1, where a difference of two
+    # logs would be off by 2.3e-13
+    n, horizon, y = 5000, 0.002, 3.0
+    frozen, _ = _one_point_walk(np.zeros((n + 1, 1)), 4.0 * horizon / n, y, 1.0, 0.0,
+                                0.0, [n])
+    exact = y / math.sqrt(y * y - 4.0 * horizon)
+    assert abs(frozen[0, 0] / exact - 1.0) <= 1e-14
 
 
 def test_eval_one_point_telescopes_zero_driving():
