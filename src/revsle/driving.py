@@ -107,9 +107,7 @@ class DrivingPath:
 
 def raw_normals(seed: int, n: int, index: int = 0, leg: int = 0) -> np.ndarray:
     """The first n standard normals of the stream (seed, index, leg); index
-    and leg must lie in [0, 2**64)."""
-    if not (0 <= index <= _WORD and 0 <= leg <= _WORD):
-        raise ValueError(f"index and leg must lie in [0, 2**64), got {index}, {leg}")
+    and leg are counter words, in [0, 2**64)."""
     gen = getattr(_local, "gen", None)
     if gen is None:
         _local.bits = Philox(0)

@@ -26,16 +26,27 @@ once b^2 = kappa/4.  Both operator forms are implemented (finite
 differences) so the algebraic identity can be checked numerically.
 
 The one-point walk evolves y under the backward flow in log space with
-optional stopping: a sample freezes at the last step where X = g(y) - xi
-both exceeds eps_stop and can take another real step (X^2 > 4 dt; the
+optional stopping.  It holds each driving value xi_k over the half steps on
+either side of grid time k (the midpoint rule): a step from k to k+1 is a
+slit step of capacity dt/2 at xi_k, the jump to xi_{k+1}, and a slit step of
+capacity dt/2 at xi_{k+1}.  This symmetric (Strang) splitting has a weak
+error of second order in dt away from the stopping band; holding xi_k over
+the whole step is first order, and at 20 steps it biased the mean of a
+drift-free observable low by about two standard errors of a 9000-sample
+mean.  A sample freezes at the last grid step where X = g(y) - xi exceeds
+eps_stop and from which the next step is real: X^2 > 2 dt, and after the
+jump the point still lies more than sqrt(2 dt) right of the driving (the
 discrete scheme would otherwise leave the real axis).  Frozen samples keep
 contributing their stopped value, so the ensemble mean of a drift-free
-observable stays at its t=0 value.  The walk keeps a frozen value as its two
-log factors, log g'(y) and log X, and exponentiates them only at the steps
-it records.  Each step adds -log1p(-4 dt / X^2) / 2 to log g'(y), which is
-accurate when 4 dt << X^2, where log X - log sqrt(X^2 - 4 dt) would cancel.
-The martingale engine runs the walk on a block of drivings;
-:func:`eval_one_point` is its single-sample case.
+observable stays at its t=0 value.  Across a step, g' gains the factors
+X/H and P/X' of its two half steps, where H = sqrt(X^2 - 2 dt) and
+P = H - (xi_{k+1} - xi_k) are the states before and after the jump and
+X' = sqrt(P^2 - 2 dt).  Their product telescopes, so the walk keeps
+log g'(y) = log(X_0 / X_k) plus a running sum of
+log(P / H) = log1p(-(xi_{k+1} - xi_k) / H), and takes logs and
+exponentials of X only at the steps it records.  The martingale engine
+runs the walk on a block of drivings; :func:`eval_one_point` is its
+single-sample case.
 """
 
 from __future__ import annotations
@@ -214,58 +225,86 @@ def _check_one_point(y: float, a: float, b: float, eps_stop: float) -> None:
 def _one_point_walk(xi: np.ndarray, four_dt: float, y: float, a: float, b: float,
                     eps_stop: float, record: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """(g'(y))^a (g(y)-xi)^b for each column of the step-major driving block
-    xi, shape (n+1, m), stopped as the module docstring says.
+    xi, shape (n+1, m), stepped and stopped as the module docstring says.
 
     Returns the frozen values and the alive masks (True: the sample can
-    take another real step) at the steps in ``record``, each of shape
-    (m, len(record)).  y - xi[0] and the rest must pass
-    :func:`_check_one_point`."""
+    take the next step; at the last step, which no jump follows, its first
+    half step) at the steps in ``record``, each of shape (m, len(record)).
+    y - xi[0] and the rest must pass :func:`_check_one_point`."""
     m = xi.shape[1]
-    w = np.full(m, float(y))
-    x = np.empty(m)
-    x2 = np.empty(m)
+    half = 0.5 * four_dt   # 2 dt: four times a half step's capacity
+    root_half = math.sqrt(half)
+    x2_0 = (float(y) - xi[0]) ** 2
+    q_0 = x2_0 - half
+    q = q_0.copy()         # H^2 = X^2 - 2 dt at the current grid step
+    q_prev = np.empty(m)   # at the previous one
+    shift = np.zeros(m)    # q - (q_0 - 4 t): the jumps' share of q
+    h = np.empty(m)
+    p = np.empty(m)
+    u = np.empty(m)
     alive = np.ones(m, dtype=bool)
     above = np.empty(m, dtype=bool)
-    # log g' = -log_sum / 2 and log X at each sample's last evaluable step
-    # (step 0 sets both), and the next step's term of log_sum,
-    # log1p(-4 dt / X^2) = 2 log(sqrt(X^2 - 4 dt) / X) without cancellation
+    # the running sum of log(P / H) and the next step's term; the sum and
+    # q of each stopped sample at the step it froze at.  The running arrays
+    # go on for stopped samples (unused, often NaN): copying the few that
+    # stop each step is cheaper than masking every update.
     log_sum = np.zeros(m)
-    log_x = np.full(m, math.nan)
     term = np.zeros(m)
+    frozen_sum = np.empty(m)
+    frozen_q = np.empty(m)
     exponent_at, alive_at = [], []
-    # a sample that cannot step never steps again: the logs, roots and
-    # positions computed for it are unused
+
+    def freeze(stopped, sums, qs):
+        if stopped.any():
+            idx = np.flatnonzero(stopped)
+            frozen_sum[idx] = sums[idx]
+            frozen_q[idx] = qs[idx]
+
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(xi.shape[0]):
-            np.subtract(w, xi[k], out=x)
-            # below eps_stop the sample froze at its previous value; above it
-            # the state is evaluable even when no further real step exists
-            np.greater(x, eps_stop, out=above)
+            np.greater(q, eps_stop * eps_stop - half, out=above)   # X > eps_stop
             above &= alive
-            np.add(log_sum, term, out=log_sum, where=above)
-            np.log(x, out=log_x, where=above)
-            np.multiply(x, x, out=x2)
-            alive = np.greater(x2, four_dt)   # a new array: alive_at keeps it
+            freeze(alive ^ above, log_sum, q_prev)
+            log_sum += term
+            alive = np.greater(q, 0.0)   # a new array: alive_at keeps it
             alive &= above
+            if k + 1 < xi.shape[0]:
+                # H: half a step at xi[k]; P: then the jump to xi[k+1]
+                np.sqrt(q, out=h)
+                np.subtract(xi[k], xi[k + 1], out=u)
+                np.add(h, u, out=p)
+                alive &= p > root_half   # the second half step is real
+            freeze(above ^ alive, log_sum, q)   # no real next step
             if k in record:
-                exponent_at.append((-0.5 * a) * log_sum + b * log_x)
+                sums = np.where(alive, log_sum, frozen_sum)
+                x2 = np.where(alive, q, frozen_q) + half
+                exponent_at.append((0.5 * a) * np.log(x2_0) + (0.5 * (b - a)) * np.log(x2)
+                                   + a * sums)
                 alive_at.append(alive)
             if k + 1 < xi.shape[0]:
-                np.subtract(x2, four_dt, out=w)
-                np.sqrt(w, out=w)
-                w += xi[k]
-                np.divide(-four_dt, x2, out=term)
-                np.log1p(term, out=term)
+                np.divide(u, h, out=term)
+                np.log1p(term, out=term)   # log(P / H)
+                # P^2 - 4 dt = q - 4 dt + u (H + P); summing the u (H + P)
+                # apart keeps X^2 free of a rounding per step where u = 0
+                h += p
+                h *= u
+                shift += h
+                np.subtract(q_0, (k + 1) * four_dt, out=q_prev)
+                q_prev += shift
+                q, q_prev = q_prev, q
     return np.exp(np.stack(exponent_at, axis=1)), np.stack(alive_at, axis=1)
 
 
 def eval_one_point(evo: LoewnerEvolution, y: float, a: float, b: float,
                    up_to: Optional[int] = None,
                    eps_stop: float = 1e-3) -> OnePointValue:
-    """(g'(y))^a (g(y)-xi)^b along a backward evolution up to step
-    ``up_to`` (default: the last), with the stopping of the module
-    docstring.  ``stop_step`` is the first step that cannot take another
-    real step; the martingale engine counts such a sample as stopped."""
+    """(g'(y))^a (g(y)-xi)^b up to step ``up_to`` (default: the last) of
+    the one-point walk on a backward evolution's driving values, with the
+    midpoint rule and the stopping of the module docstring.  (``evo`` itself
+    holds each value over the following step; the walk does not use its
+    maps.)  ``stop_step`` is the first step from which the walk can take
+    no further step; the martingale engine counts such a sample as
+    stopped."""
     if evo.direction != "backward":
         raise ValueError("one-point observables evolve under the backward flow")
     n = evo.n_steps if up_to is None else up_to

@@ -263,7 +263,7 @@ def test_constant_observable_mean_is_exactly_one():
     assert rep.verdict
 
 
-# in the first config some samples end with eps_stop < X_n <= 2 sqrt(dt),
+# in the first config a sample ends with eps_stop < X_n <= sqrt(2 dt),
 # which count as stopped; in the second, scalar math.exp/log would move the
 # mean in its last digit
 @pytest.mark.parametrize("kappa,horizon,n_steps,eps_stop",

@@ -177,34 +177,43 @@ def test_eval_one_point_constant_exponents():
 
 
 def reference_walk(xi, four_dt, y, a, b, eps_stop, record):
-    """The one-point walk as first written: every step takes a fresh
-    (g')^a X^b of the samples still above eps_stop."""
+    """The one-point walk written plainly, from the same arithmetic: every
+    step takes a fresh (g')^a X^b of the samples still above eps_stop, and
+    only the samples that take a step update their state."""
     m = xi.shape[1]
-    w = np.full(m, float(y))
-    log_gp = np.zeros(m)
+    half = four_dt / 2.0
+    x2_0 = (float(y) - xi[0]) ** 2
+    q_0 = x2_0 - half
+    q = q_0.copy()
+    shift = np.zeros(m)
+    log_sum = np.zeros(m)
     alive = np.ones(m, dtype=bool)
     frozen = np.full(m, math.nan)
     frozen_at, alive_at = [], []
     for k in range(xi.shape[0]):
-        x = w - xi[k]
-        above = alive & (x > eps_stop)
-        log_x = np.log(np.where(above, x, 1.0))
-        frozen = np.where(above, np.exp(a * log_gp + b * log_x), frozen)
-        x2 = x * x
-        alive = above & (x2 > four_dt)
+        above = alive & (q > eps_stop * eps_stop - half)
+        x2 = np.where(above, q + half, 1.0)
+        value = np.exp((0.5 * a) * np.log(x2_0) + (0.5 * (b - a)) * np.log(x2)
+                       + a * log_sum)
+        frozen = np.where(above, value, frozen)
+        alive = above & (q > 0.0)
+        if k + 1 < xi.shape[0]:
+            h = np.sqrt(np.where(alive, q, 1.0))
+            u = xi[k] - xi[k + 1]
+            p = h + u
+            alive = alive & (p > math.sqrt(half))
         if k in record:
             frozen_at.append(frozen)
             alive_at.append(alive)
         if k + 1 < xi.shape[0]:
-            root = np.sqrt(np.where(alive, x2 - four_dt, 1.0))
-            w = np.where(alive, xi[k] + root, w)
-            # log g' grows by log(X / root) = -log1p(-4 dt / X^2) / 2
-            step = -0.5 * np.log1p(-four_dt / np.where(alive, x2, 1.0))
-            log_gp = np.where(alive, log_gp + step, log_gp)
+            with np.errstate(invalid="ignore"):   # the unused ratios of stopped samples
+                log_sum = np.where(alive, log_sum + np.log1p(u / h), log_sum)
+            shift = np.where(alive, shift + (h + p) * u, shift)
+            q = np.where(alive, (q_0 - (k + 1) * four_dt) + shift, q)
     return np.stack(frozen_at, axis=1), np.stack(alive_at, axis=1)
 
 
-# criterion 5's config; a coarse grid where many samples stop at X^2 <= 4 dt;
+# criterion 5's config; a coarse grid where many samples stop at X^2 <= 2 dt;
 # a wide eps_stop band where many stop at X <= eps_stop
 @pytest.mark.parametrize("kappa,horizon,n_steps,y,b,eps_stop", [
     (4.0, 0.05, 500, 1.0, 3.0, 1e-3),
@@ -223,10 +232,36 @@ def test_walk_equals_the_reference_walk(kappa, horizon, n_steps, y, b, eps_stop)
     assert np.count_nonzero(~alive[:, -1]) > (0 if kappa == 4.0 else 500)
 
 
+@pytest.mark.parametrize("kappa,horizon,n_steps,y", [(4.0, 0.05, 20, 1.0), (2.0, 0.2, 50, 2.0)])
+def test_walk_is_the_backward_slit_chain_of_the_midpoint_driving(kappa, horizon, n_steps, y):
+    # the walk's step k -> k+1 is two slit steps of capacity dt/2, at xi_k
+    # and at xi_{k+1}: the library's backward chain on the 2n half steps of
+    # the driving xi_0, xi_1, xi_1, ..., xi_n, xi_n, evaluated in complex
+    # arithmetic by loewner's own maps
+    b = 3.0
+    a = b - kappa * b * (b - 1.0) / 4.0
+    dt = horizon / n_steps
+    xi = _xi_block(23, 0, 40, kappa, dt, n_steps)
+    frozen, alive = _one_point_walk(xi, 4.0 * dt, y, a, b, 1e-3, [n_steps])
+    halves = TimeGrid(horizon, 2 * n_steps)
+    checked = 0
+    for i in np.flatnonzero(alive[:, 0]):
+        evo = evolve_backward(explicit_path(halves, kappa, xi[(np.arange(2 * n_steps + 1) + 1)
+                                                             // 2, i]))
+        g = apply_map(evo, complex(y))
+        gp = apply_derivative(evo, complex(y))
+        assert abs(g.imag) <= 1e-12 and abs(gp.imag) <= 1e-12
+        expected = gp.real ** a * (g.real - xi[n_steps, i]) ** b
+        assert frozen[i, 0] == pytest.approx(expected, rel=1e-10)
+        checked += 1
+    assert checked >= 30
+
+
 def test_walk_derivative_does_not_cancel_on_fine_grids():
-    # zero driving: g' = y / sqrt(y^2 - 4T) exactly, and each step's factor
-    # X / sqrt(X^2 - 4 dt) is within 1e-7 of 1, where a difference of two
-    # logs would be off by 2.3e-13
+    # zero driving: g' = y / sqrt(y^2 - 4T) exactly, and each half step's
+    # factor X / sqrt(X^2 - 2 dt) is within 1e-7 of 1, where a difference of
+    # two logs would be off by 2.3e-13, and so is an X^2 rounded at each of
+    # the 5000 steps
     n, horizon, y = 5000, 0.002, 3.0
     frozen, _ = _one_point_walk(np.zeros((n + 1, 1)), 4.0 * horizon / n, y, 1.0, 0.0,
                                 0.0, [n])
@@ -254,39 +289,52 @@ def test_eval_one_point_zero_driving_closed_form():
 
 
 def test_eval_one_point_stops_when_driving_catches_up():
-    # the driving jumps onto the image point: the sample freezes at the last
-    # valid state instead of evaluating a negative power base
-    grid = TimeGrid(0.01, 2)
-    path = explicit_path(grid, 4.0, [0.0, 1.995, 1.995])
+    # the driving jumps to within eps_stop of the image point: the sample
+    # freezes at its last state above the band instead of evaluating the
+    # state inside it
+    grid = TimeGrid(0.01, 2)   # dt = 0.005: half steps of capacity 0.0025
+    path = explicit_path(grid, 4.0, [0.0, 1.89, 1.89])
     evo = evolve_backward(path)
-    # X_1 = sqrt(4 - 0.02) - 1.995 < eps_stop: state 1 is inside the band
-    assert math.sqrt(4.0 - 0.02) - 1.995 < 1e-3
-    out = eval_one_point(evo, 2.0, a=0.0, b=1.0)
+    # P = sqrt(4 - 0.01) - 1.89 > sqrt(2 dt) = 0.1: the step is real, but
+    # X_1 = sqrt(P^2 - 0.01) lies inside the band
+    p = math.sqrt(4.0 - 0.01) - 1.89
+    assert p > 0.1 and math.sqrt(p * p - 0.01) < 0.05
+    out = eval_one_point(evo, 2.0, a=0.0, b=1.0, eps_stop=0.05)
     assert out.stopped
     assert out.stop_step == 1
     assert out.value == pytest.approx(2.0, abs=1e-12)   # frozen at t = 0
+    # a jump past the point: the second half step has no real root, so the
+    # sample stops at step 0 without evaluating a negative power base
+    evo = evolve_backward(explicit_path(grid, 4.0, [0.0, 2.5, 2.5]))
+    out = eval_one_point(evo, 2.0, a=0.0, b=0.5)
+    assert (out.stopped, out.stop_step) == (True, 0)
+    assert out.value == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
 
 def test_eval_one_point_stops_at_unsteppable_state():
-    # X stays above eps_stop but X^2 <= 4 dt: no further real step exists
-    grid = TimeGrid(0.25, 2)   # dt = 0.125, 2 sqrt(dt) ~ 0.707
-    path = explicit_path(grid, 4.0, [0.0, 1.5, 1.5])
+    # X_1 stays above eps_stop, but after the next jump P^2 <= 2 dt: the
+    # second half of step 1 -> 2 has no real root
+    grid = TimeGrid(0.25, 2)   # dt = 0.125, 2 dt = 0.25, sqrt(2 dt) = 0.5
+    path = explicit_path(grid, 4.0, [0.0, 1.2, 1.2])
     evo = evolve_backward(path)
+    x1 = math.sqrt((math.sqrt(3.75) - 1.2) ** 2 - 0.25)
+    assert math.sqrt(x1 * x1 - 0.25) <= 0.5
     out = eval_one_point(evo, 2.0, a=0.0, b=1.0)
     assert out.stopped and out.stop_step == 1
-    # frozen at state 1: X_1 = sqrt(4 - 0.5) - 1.5
-    assert out.value == pytest.approx(math.sqrt(3.5) - 1.5, abs=1e-12)
+    assert out.value == pytest.approx(x1, abs=1e-12)   # frozen at state 1
 
 
 def test_eval_one_point_stops_at_unsteppable_final_state():
-    # X_2 = sqrt(3) - 1.5 > eps_stop is evaluated, but X_2^2 <= 4 dt: the walk
-    # could take no further real step, so the sample counts as stopped at the
-    # last step, as the martingale engine counts it
+    # X_2 = sqrt(P^2 - 2 dt) > eps_stop is evaluated, but X_2^2 <= 2 dt: the
+    # walk could not begin a further step, so the sample counts as stopped
+    # at the last step, as the martingale engine counts it
     grid = TimeGrid(0.25, 2)
-    evo = evolve_backward(explicit_path(grid, 4.0, [0.0, 0.0, 1.5]))
+    evo = evolve_backward(explicit_path(grid, 4.0, [0.0, 0.0, 1.1]))
+    p = math.sqrt(3.25) - 1.1   # after the jump to xi_2; X_1^2 = 3.5
+    assert 0.5 < p and p * p - 0.25 <= 0.25
     out = eval_one_point(evo, 2.0, a=0.0, b=1.0)
     assert (out.stopped, out.stop_step) == (True, 2)
-    assert out.value == 0.2320508075688772
+    assert out.value == pytest.approx(math.sqrt(p * p - 0.25), abs=1e-12)
 
 
 @pytest.mark.parametrize("y,a,b,eps_stop", [
