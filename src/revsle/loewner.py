@@ -19,9 +19,13 @@ test for it.
 The square root branch is fixed by two conditions: the image has
 non-negative imaginary part, and the map is asymptotic to the identity at
 infinity (the real part of the root carries the sign of Re(w - xi)).
-:func:`slit_sqrt_vec` takes numpy's principal root and negates it where it
-breaks either condition, so both root components keep full relative
-accuracy, also when |Im u| << |Re u|.
+:func:`slit_sqrt_vec` takes numpy's principal root, which has Re >= 0 and
+the sign of Im u in Im, and moves it into the upper half-plane in place:
+the real part takes the sign of the imaginary part, which then drops its
+sign.  A root on the real axis is a tie that only the hint breaks; a call
+that holds one negates the principal root where it breaks either
+condition instead.  Both give the same bits, and both root components keep
+full relative accuracy, also when |Im u| << |Re u|.
 
 A whole-plane-type radial flow on the upper half-plane,
 
@@ -98,22 +102,36 @@ class BranchViolationError(Exception):
 def slit_sqrt_vec(u: np.ndarray, re_hint: np.ndarray) -> np.ndarray:
     """Elementwise square root of u with Im >= 0 (complex128 arrays); for
     real u >= 0 the sign of the real part follows ``re_hint`` (the sign of
-    Re(w - xi), identity at infinity).
+    Re(w - xi), identity at infinity).  Returns a new array.
 
     When Im(u) != 0 there is exactly one root with positive imaginary part,
-    so the hint only breaks the tie on the real axis.
+    so the hint only breaks the tie on the real axis.  numpy's principal
+    root (C99 csqrt) has a clear sign bit in Re and the sign of Im u in Im,
+    so off the axis the root in the upper half-plane is
+    (copysign(Re, Im), |Im|): two in-place passes on the fresh root.  A
+    call whose roots include one with Im = +-0 (a real-axis tie, rare in
+    the ensembles but at every tip of :func:`trace`) negates the principal
+    root where Im < 0, or at a tie where the hint is negative, instead.
+    Either way every bit equals that rule's.
     """
-    s = np.sqrt(u)
-    return np.where((s.imag < 0.0) | ((s.imag == 0.0) & (re_hint < 0.0)), -s, s)
+    s = np.asarray(np.sqrt(u))   # a 0-d u gives a scalar; make it writable
+    if not s.imag.all():         # a tie: some Im is +-0 (NaN counts as nonzero)
+        return np.where((s.imag < 0.0) | ((s.imag == 0.0) & (re_hint < 0.0)), -s, s)
+    np.copysign(s.real, s.imag, out=s.real)
+    np.abs(s.imag, out=s.imag)
+    return s
 
 
-def swallowed(v: np.ndarray, four_dt: float) -> np.ndarray:
+def swallowed(v: np.ndarray, four_dt: float, disc: Optional[np.ndarray] = None) -> np.ndarray:
     """Mask of the offsets v = w - xi whose forward (+4dt) step hits the
     driving singularity: v is purely imaginary with |v|^2 <= 4dt (the point
-    sits on the closed slit); the tip itself has discriminant v^2 + 4dt = 0."""
+    sits on the closed slit); the tip itself has discriminant v^2 + 4dt = 0.
+    ``disc``, if given, is that discriminant v*v + four_dt, already made."""
+    if disc is None:
+        disc = v * v + four_dt
     return ((np.abs(v) <= EPS_SWALLOW)
             | ((np.abs(v.real) <= EPS_SWALLOW) & (v.imag ** 2 <= four_dt))
-            | (np.abs(v * v + four_dt) <= EPS_SWALLOW))
+            | (np.abs(disc) <= EPS_SWALLOW))
 
 
 def _slit_step(w: np.ndarray, x: float, c: float) -> tuple[np.ndarray, np.ndarray]:

@@ -26,10 +26,8 @@ composed engines run each leg through one slit-step loop, ``_flow``.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -127,12 +125,13 @@ def _pool_size(n_samples: int, workers: int) -> int:
     one per core (more would only queue spans) and one per MIN_SPAN
     samples, and 1 (inline) where fork is unavailable or this process runs
     other threads, whose locks a child could inherit held.  _spans cuts the
-    run into at least that many spans."""
+    run into at least that many spans.  multiprocessing is imported only
+    when a pool is possible, so an inline run never loads it."""
     workers = min(workers, os.cpu_count() or 1, n_samples // MIN_SPAN)
-    if (workers <= 1 or "fork" not in multiprocessing.get_all_start_methods()
-            or threading.active_count() > 1):
+    if workers <= 1 or threading.active_count() > 1:
         return 1
-    return workers
+    import multiprocessing
+    return workers if "fork" in multiprocessing.get_all_start_methods() else 1
 
 
 _task: Optional[Callable] = None   # the engine's span task, in a forked worker
@@ -160,6 +159,8 @@ def _run_batched(task: Callable, n_samples: int, workers: int) -> tuple:
     if procs == 1:
         parts = [task(lo, hi) for lo, hi in spans]
     else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(procs, mp_context=multiprocessing.get_context("fork"),
                                  initializer=_set_task, initargs=(task,)) as ex:
             parts = list(ex.map(_run_task, spans))
@@ -169,14 +170,30 @@ def _run_batched(task: Callable, n_samples: int, workers: int) -> tuple:
 def _flow(w: np.ndarray, rows, c: float, alive: Optional[np.ndarray] = None) -> np.ndarray:
     """One slit step w -> x + sqrt((w - x)^2 + c) per driving row x (c = 4 dt
     forward, -4 dt backward).  With a mask, a forward step first retires the
-    points it swallows, and retired points keep their value."""
+    points it swallows, and retired points keep their value.  The caller's
+    w is never written.
+
+    The offsets v and the discriminant u = v*v + c are filled in buffers
+    made once per leg; the fresh root takes x in place and becomes the next
+    w, or, with a mask, is copied into the leg's own w where alive."""
+    v = np.empty_like(w)
+    u = np.empty_like(w)
+    if alive is not None:
+        w = w.copy()
     for x in rows:
         x = x[:, None]
-        v = w - x
+        np.subtract(w.real, x, out=v.real)
+        v.imag = w.imag   # x is real: Im(w - x) is Im w, bit for bit
+        np.multiply(v, v, out=u)
+        np.add(u, c, out=u)
         if alive is not None and c > 0.0:
-            alive &= ~swallowed(v, c)
-        step = x + slit_sqrt_vec(v * v + c, v.real)
-        w = step if alive is None else np.where(alive, step, w)
+            alive &= ~swallowed(v, c, u)
+        step = slit_sqrt_vec(u, v.real)
+        np.add(x, step, out=step)
+        if alive is None:
+            w = step
+        else:
+            np.copyto(w, step, where=alive)
     return w
 
 

@@ -318,6 +318,30 @@ def test_runtime_loads_no_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+NO_POOL = """
+import sys
+def pool_modules():
+    return [m for m in sys.modules if m.partition(".")[0] in ("multiprocessing", "concurrent")]
+from revsle.cli import main
+assert pool_modules() == [], pool_modules()
+out = sys.argv[1]
+assert main(["martingale-test", "--samples", "9000", "--steps", "10", "--workers", "1",
+             "--out", out]) == 0
+assert main(["trace", "--steps", "10", "--out", out]) == 0
+assert pool_modules() == [], pool_modules()
+"""
+
+
+def test_inline_runs_load_no_pool_modules(tmp_path):
+    # multiprocessing and concurrent.futures are imported only where a run
+    # forks a pool; an inline run does not pay for them
+    src = os.path.dirname(os.path.dirname(revsle.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", NO_POOL, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 @pytest.mark.parametrize("sub,files", [
     ("martingale-test", ["report.csv", "report.json"]),
     ("inverse-check", ["samples.csv", "report.json"]),

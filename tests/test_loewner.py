@@ -49,6 +49,76 @@ def test_slit_sqrt_small_component_is_accurate():
     assert np.all(np.abs(s - np.sqrt(u)) <= 1e-15)
 
 
+def negate_where_broken(u, re_hint):
+    """The sign rule as one numpy expression: negate the principal root where
+    Im < 0, or where Im = +-0 and the hint is negative."""
+    s = np.sqrt(u)
+    return np.where((s.imag < 0.0) | ((s.imag == 0.0) & (re_hint < 0.0)), -s, s)
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype == np.complex128
+    assert np.array_equal(np.atleast_1d(a).view(np.uint64), np.atleast_1d(b).view(np.uint64))
+
+
+def complex_grid(values):
+    """Every (re, im) pair of the values, set component by component, so a
+    -0.0 or a negative NaN keeps its sign bit."""
+    re, im = np.meshgrid(values, values, indexing="ij")
+    u = np.empty(re.size, np.complex128)
+    u.real, u.imag = re.ravel(), im.ravel()
+    return u
+
+
+SPECIAL = [0.0, -0.0, 1e-310, -1e-310, 1.0, -1.0, 2.5, -2.5, 1e308, -1e308,
+           math.inf, -math.inf, math.nan, -math.nan]
+
+
+@pytest.mark.parametrize("hint", [1.0, -1.0, 0.0, -0.0])
+def test_slit_sqrt_bits_equal_the_negation_rule_on_special_values(hint):
+    u = complex_grid(SPECIAL)
+    hints = np.full(u.size, hint)
+    with np.errstate(all="ignore"):
+        assert_same_bits(slit_sqrt_vec(u, hints), negate_where_broken(u, hints))
+        # a call without any real-axis tie takes the in-place passes
+        off_axis = u[np.sqrt(u).imag != 0.0]
+        assert_same_bits(slit_sqrt_vec(off_axis, hints[:off_axis.size]),
+                         negate_where_broken(off_axis, hints[:off_axis.size]))
+
+
+def test_slit_sqrt_bits_equal_the_negation_rule_on_random_values():
+    rng = np.random.default_rng(17)
+    n = 100_000
+    u = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, n) + 1j * rng.normal(size=n)
+    u[::7] = u[::7].real                  # 1 in 7 exactly real
+    hints = rng.normal(size=n)
+    hints[::5] = 0.0
+    assert_same_bits(slit_sqrt_vec(u, hints), negate_where_broken(u, hints))
+    off = u[1::7]                         # no ties: the in-place passes
+    assert_same_bits(slit_sqrt_vec(off, hints[1::7]), negate_where_broken(off, hints[1::7]))
+    # a (span, points) block with a 2-D hint, as the ensemble legs pass it
+    block, block_hints = u[:6000].reshape(2000, 3), hints[:6000].reshape(2000, 3)
+    assert_same_bits(slit_sqrt_vec(block, block_hints), negate_where_broken(block, block_hints))
+    v = rng.normal(size=(2000, 12)) + 1j * rng.uniform(0.1, 2.0, (2000, 12))
+    assert_same_bits(slit_sqrt_vec(v * v - 0.004, v.real), negate_where_broken(v * v - 0.004, v.real))
+
+
+@pytest.mark.parametrize("u", [4.0 + 0j, complex(4.0, -0.0), -4.0 + 0j, 1.0 - 2.0j, 0j])
+@pytest.mark.parametrize("hint", [1.0, -1.0])
+def test_slit_sqrt_takes_a_0d_point_with_a_scalar_hint(u, hint):
+    out = slit_sqrt_vec(np.array(u), hint)
+    assert isinstance(out, np.ndarray) and out.ndim == 0
+    assert_same_bits(out, negate_where_broken(np.array(u), hint))
+
+
+def test_slit_sqrt_returns_a_new_array():
+    u = np.array([1.0 + 1j, 2.0 - 1j])
+    kept = u.copy()
+    s = slit_sqrt_vec(u, np.ones(2))
+    assert s is not u and not np.shares_memory(s, u)
+    assert_same_bits(u, kept)
+
+
 def mp_slit_root(u, hint):
     """The slit root of an mpmath number: the root with Im >= 0, and on the
     real axis the one whose real part has the sign of the hint."""

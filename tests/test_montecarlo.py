@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from revsle.driving import TimeGrid, raw_normals, sample_brownian
-from revsle.loewner import evolve_backward
+from revsle.loewner import evolve_backward, swallowed
 import revsle.montecarlo
 from revsle.montecarlo import (_STAGE, BATCH_SIZE, MIN_SPAN, McConfig, _pool_size,
                                _run_batched, _xi_block, run_composed_stats,
@@ -406,3 +406,56 @@ def test_composed_counts_nan_image_as_violation(nan_in_sample_1):
     nan_in_sample_1()
     rep = run_composed_stats(4.0, 0.1, 20, 100, master_seed=5)
     assert rep.containment_violations == 1
+
+
+# --- the slit-step loop ------------------------------------------------------------
+
+def listed_flow(w, rows, c, alive=None):
+    """The flow loop written out with a fresh array per operation and the
+    sign rule as one expression: negate numpy's principal root where Im < 0,
+    or where Im = +-0 and Re(w - x) < 0."""
+    for x in rows:
+        x = x[:, None]
+        v = w - x
+        if alive is not None and c > 0.0:
+            alive &= ~swallowed(v, c)
+        s = np.sqrt(v * v + c)
+        s = np.where((s.imag < 0.0) | ((s.imag == 0.0) & (v.real < 0.0)), -s, s)
+        step = x + s
+        w = step if alive is None else np.where(alive, step, w)
+    return w
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("leg", ["backward", "forward", "masked forward"])
+def test_flow_bits_equal_the_listed_loop(leg):
+    n_steps, dt = 200, 1.0 / 200
+    xi = _xi_block(11, 0, 300, 4.0, dt, n_steps)
+    # sample 0 has zero driving, so its point 0 on the imaginary axis sits on
+    # the slit after 10 forward steps; from then on each forward step's roots
+    # include a real-axis tie, while the backward leg meets none
+    xi[:, 0] = 0.0
+    pts = np.array([math.sqrt(4.0 * dt * 10.5) * 1j, 1j, 0.5 + 0.1j, -1.5 + 0.5j])
+    w = np.tile(pts, (300, 1))
+    kept = w.copy()
+    c = -4.0 * dt if leg == "backward" else 4.0 * dt
+    rows = xi[n_steps:0:-1] if leg == "backward" else xi[:n_steps]
+    if leg == "masked forward":
+        alive, listed_alive = np.ones(w.shape, bool), np.ones(w.shape, bool)
+        # the forward leg up to step 10 leaves point 0 of sample 0 alive
+        listed_flow(w, rows[:10], c, listed_alive)
+        assert listed_alive[0, 0]
+        listed_alive[:] = True
+    else:
+        alive = listed_alive = None
+    got = revsle.montecarlo._flow(w, rows, c, alive)
+    want = listed_flow(w, rows, c, listed_alive)
+    assert same_bits(got, want)
+    assert same_bits(w, kept)             # the caller's points are not written
+    assert got is not w
+    if leg == "masked forward":
+        assert np.array_equal(alive, listed_alive)
+        assert not alive[0, 0] and 0 < np.count_nonzero(~alive) < alive.size
