@@ -13,8 +13,9 @@ byte-identical data; timestamps and the environment (the numpy and Python
 versions, which the driving stream depends on, and the core count) live only
 in the manifest.  The directory is made only after the inputs are validated
 and the results computed, so a usage error leaves none.  Exit codes: 0 pass,
-1 verdict failure (a non-finite point for ``trace`` and ``radial``, a
-non-finite driving value for ``martingale-test``), 2 usage error.
+1 verdict failure (a non-finite value for ``driving``, a non-finite point
+for ``trace`` and ``radial``, a non-finite driving value for
+``martingale-test``), 2 usage error.
 
 ``driving`` writes the sampled driving path alone; ``trace`` and ``radial``
 run a flow on the same path.
@@ -135,9 +136,19 @@ def _sampled_path(cfg: dict):
     return grid, sample_brownian(grid, float(cfg["kappa"]), int(cfg["seed"]))
 
 
+def _finite_code(values, message: str) -> int:
+    """Exit code 0 when every value is finite; else 1, after ``message`` on
+    stderr."""
+    if np.isfinite(values).all():
+        return 0
+    print(message, file=sys.stderr)
+    return 1
+
+
 def _driving(cfg, workers):
     grid, path = _sampled_path(cfg)
-    return {"path.csv": _csv("t,xi", zip(grid.times(), path.values))}, 0, None
+    files = {"path.csv": _csv("t,xi", zip(grid.times(), path.values))}
+    return files, _finite_code(path.values, "driving: non-finite value in the path"), None
 
 
 def _trace(cfg, workers):
@@ -145,10 +156,7 @@ def _trace(cfg, workers):
     gamma = trace(evolve_forward(path))
     rows = zip(grid.times(), gamma.real, gamma.imag)
     files = {"trace.csv": _csv("t,re_gamma,im_gamma", rows)}
-    finite = bool(np.isfinite(gamma).all())
-    if not finite:
-        print("trace: non-finite tip in the curve", file=sys.stderr)
-    return files, 0 if finite else 1, None
+    return files, _finite_code(gamma, "trace: non-finite tip in the curve"), None
 
 
 def _radial(cfg, workers):
@@ -159,9 +167,7 @@ def _radial(cfg, workers):
     evo = evolve_wholeplane(path, z0=complex(*z0))
     rows = zip(grid.times(), evo.states.real, evo.states.imag)
     files = {"radial.csv": _csv("t,re_g,im_g", rows)}
-    if not evo.completed:
-        print("radial: non-finite state in the trajectory", file=sys.stderr)
-    return files, 0 if evo.completed else 1, None
+    return files, _finite_code(evo.states, "radial: non-finite state in the trajectory"), None
 
 
 def _cft_table(cfg, workers):

@@ -135,7 +135,8 @@ def sample_brownian(grid: TimeGrid, kappa: float, seed: int, index: int = 0) -> 
     z = raw_normals(seed, grid.n_steps, index)
     values = np.empty(grid.n_steps + 1)
     values[0] = 0.0
-    np.cumsum(np.sqrt(kappa * grid.dt) * z, out=values[1:])
+    with np.errstate(invalid="ignore"):   # inf - inf: a NaN the callers check
+        np.cumsum(np.sqrt(kappa * grid.dt) * z, out=values[1:])
     return DrivingPath(grid, float(kappa), values)
 
 

@@ -126,11 +126,13 @@ def swallowed(v: np.ndarray, four_dt: float, disc: Optional[np.ndarray] = None) 
     """Mask of the offsets v = w - xi whose forward (+4dt) step hits the
     driving singularity: v is purely imaginary with |v|^2 <= 4dt (the point
     sits on the closed slit); the tip itself has discriminant v^2 + 4dt = 0.
-    ``disc``, if given, is that discriminant v*v + four_dt, already made."""
+    ``disc``, if given, is that discriminant v*v + four_dt, already made.
+    For four_dt >= 0 an offset with |v| <= EPS_SWALLOW is in the mask: the
+    slit clause holds when four_dt >= EPS_SWALLOW^2, the discriminant
+    clause below that."""
     if disc is None:
         disc = v * v + four_dt
-    return ((np.abs(v) <= EPS_SWALLOW)
-            | ((np.abs(v.real) <= EPS_SWALLOW) & (v.imag ** 2 <= four_dt))
+    return (((np.abs(v.real) <= EPS_SWALLOW) & (v.imag ** 2 <= four_dt))
             | (np.abs(disc) <= EPS_SWALLOW))
 
 
@@ -147,7 +149,8 @@ class LoewnerEvolution:
     """Composition of exact slit maps, one per grid step.
 
     ``driving_values`` are the n+1 grid values of the driving; step k holds
-    the value at its left endpoint.  An empty chain is the identity.
+    the value at its left endpoint; ``dt``, the capacity of a step, is
+    positive and finite.  An empty chain is the identity.
     Instances are immutable (the driving values are copied into a private
     read-only array); evaluation at distinct points is freely concurrent.
     """
@@ -159,6 +162,8 @@ class LoewnerEvolution:
     def __post_init__(self):
         if self.direction not in ("forward", "backward"):
             raise ValueError(f"unknown direction {self.direction!r}")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         vals = np.array(self.driving_values, dtype=np.float64)
         vals.setflags(write=False)
         object.__setattr__(self, "driving_values", vals)
@@ -176,15 +181,6 @@ def evolve_forward(path: DrivingPath) -> LoewnerEvolution:
 def evolve_backward(path: DrivingPath) -> LoewnerEvolution:
     """Backward chain: maps H into H minus a growing slit."""
     return LoewnerEvolution("backward", path.values, path.grid.dt)
-
-
-def _resolve_steps(evo: LoewnerEvolution, up_to: Optional[int]) -> int:
-    n = evo.n_steps
-    if up_to is None:
-        return n
-    if not 0 <= up_to <= n:
-        raise ValueError(f"up_to must be in [0, {n}], got {up_to}")
-    return up_to
 
 
 def _step_constant(evo: LoewnerEvolution) -> float:
@@ -226,32 +222,30 @@ def _orbit(evo: LoewnerEvolution, z, steps: range, c: float, error: type,
     return complex(out[0]) if np.ndim(z) == 0 else out
 
 
-def apply_map(evo: LoewnerEvolution, z, up_to: Optional[int] = None):
-    """Image of z (a point or an array of points) under the first ``up_to``
-    steps (default: all).
+def apply_map(evo: LoewnerEvolution, z):
+    """Image of z (a point or an array of points) under the whole chain.
 
     Forward direction raises :class:`SwallowedPointError` when an orbit hits
     the driving singularity.
     """
-    return _orbit(evo, _upper(z), range(_resolve_steps(evo, up_to)),
-                  _step_constant(evo), SwallowedPointError)
+    return _orbit(evo, _upper(z), range(evo.n_steps), _step_constant(evo),
+                  SwallowedPointError)
 
 
-def apply_derivative(evo: LoewnerEvolution, z, up_to: Optional[int] = None):
+def apply_derivative(evo: LoewnerEvolution, z):
     """Derivative of the composed map at z (chain rule over the orbit)."""
-    return _orbit(evo, _upper(z), range(_resolve_steps(evo, up_to)),
-                  _step_constant(evo), SwallowedPointError, derivative=True)
+    return _orbit(evo, _upper(z), range(evo.n_steps), _step_constant(evo),
+                  SwallowedPointError, derivative=True)
 
 
-def invert_map(evo: LoewnerEvolution, w, down_from: Optional[int] = None):
-    """Preimage of w under the first ``down_from`` steps (default: all).
+def invert_map(evo: LoewnerEvolution, w):
+    """Preimage of w under the whole chain.
 
     Step inverses are applied in reverse order; inverting a backward
     chain raises :class:`BranchViolationError` when an intermediate point
     falls outside the image domain (on a step's slit).
     """
-    k_max = _resolve_steps(evo, down_from)
-    return _orbit(evo, w, range(k_max - 1, -1, -1), -_step_constant(evo),
+    return _orbit(evo, w, range(evo.n_steps - 1, -1, -1), -_step_constant(evo),
                   BranchViolationError)
 
 

@@ -45,8 +45,7 @@ X' = sqrt(P^2 - 2 dt).  Their product telescopes, so the walk keeps
 log g'(y) = log(X_0 / X_k) plus a running sum of
 log(P / H) = log1p(-(xi_{k+1} - xi_k) / H), and takes logs and
 exponentials of X only at the steps it records.  The martingale engine
-runs the walk on a block of drivings; :func:`eval_one_point` is its
-single-sample case.
+runs the walk on a block of drivings.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ import numpy as np
 
 # apply_map and apply_derivative are not called here: perfbench's tracer test
 # pins these two bindings in this module.
-from .loewner import LoewnerEvolution, apply_derivative, apply_map  # noqa: F401
+from .loewner import apply_derivative, apply_map  # noqa: F401
 
 __all__ = [
     "PointsTooCloseError",
@@ -69,14 +68,13 @@ __all__ = [
     "drift_residual",
     "one_point_exponents",
     "ExponentRoots",
-    "OnePointValue",
-    "eval_one_point",
     "audit_one_point_exponents",
     "OnePointExponentAudit",
     "PairResidual",
 ]
 
 DELTA_MIN = 1e-6   # minimum |y - xi| for generator evaluation
+AUDIT_TOLERANCE = 1e-10   # |drift residual| of a pair the audit calls drift-free
 _H1_REL = 1e-5     # relative step, first derivatives
 # Second derivatives use a larger step: at 1e-5 the float64 cancellation
 # noise 4*eps/h^2 ~ 2e-6 would exceed the 1e-6 residual budget, while 1e-4
@@ -203,12 +201,6 @@ def one_point_exponents(kappa: float, h: float) -> ExponentRoots:
     return ExponentRoots(complex(hi, 0.0), complex(lo, 0.0), False)
 
 
-class OnePointValue(NamedTuple):
-    value: float
-    stopped: bool
-    stop_step: Optional[int]
-
-
 def _check_one_point(y: float, a: float, b: float, eps_stop: float) -> None:
     """Reject inputs the one-point walk cannot fail closed on: a non-finite
     y, a, b or eps_stop (b = -inf makes every value and F_0 zero, a NaN
@@ -295,28 +287,6 @@ def _one_point_walk(xi: np.ndarray, four_dt: float, y: float, a: float, b: float
     return np.exp(np.stack(exponent_at, axis=1)), np.stack(alive_at, axis=1)
 
 
-def eval_one_point(evo: LoewnerEvolution, y: float, a: float, b: float,
-                   up_to: Optional[int] = None,
-                   eps_stop: float = 1e-3) -> OnePointValue:
-    """(g'(y))^a (g(y)-xi)^b up to step ``up_to`` (default: the last) of
-    the one-point walk on a backward evolution's driving values, with the
-    midpoint rule and the stopping of the module docstring.  (``evo`` itself
-    holds each value over the following step; the walk does not use its
-    maps.)  ``stop_step`` is the first step from which the walk can take
-    no further step; the martingale engine counts such a sample as
-    stopped."""
-    if evo.direction != "backward":
-        raise ValueError("one-point observables evolve under the backward flow")
-    n = evo.n_steps if up_to is None else up_to
-    if not 0 <= n <= evo.n_steps:
-        raise ValueError(f"step must be in [0, {evo.n_steps}]")
-    xi = evo.driving_values[:n + 1, None]
-    _check_one_point(y - xi[0, 0], a, b, eps_stop)
-    frozen, alive = _one_point_walk(xi, 4.0 * evo.dt, y, a, b, eps_stop, range(n + 1))
-    stop = next((k for k, live in enumerate(alive[0]) if not live), None)
-    return OnePointValue(float(frozen[0, -1]), stop is not None, stop)
-
-
 @dataclass(frozen=True)
 class PairResidual:
     a: float
@@ -341,8 +311,7 @@ class OnePointExponentAudit:
     tolerance: float
 
 
-def audit_one_point_exponents(kappa: float,
-                              tolerance: float = 1e-10) -> OnePointExponentAudit:
+def audit_one_point_exponents(kappa: float) -> OnePointExponentAudit:
     """Check the proposed exponent pair a = b = -1 - 8/kappa^2 for the
     one-point observable against the drift-zero condition, alongside the
     reading a = -1 - 8/kappa with b from :func:`one_point_exponents`."""
@@ -351,11 +320,11 @@ def audit_one_point_exponents(kappa: float,
 
     def check(a: float, b: float) -> PairResidual:
         r = drift_residual(kappa, a, b)
-        return PairResidual(a, b, r, abs(r) <= tolerance)
+        return PairResidual(a, b, r, abs(r) <= AUDIT_TOLERANCE)
 
     sq_exponent = -1.0 - 8.0 / (kappa * kappa)
     proposed = check(sq_exponent, sq_exponent)
     a_13 = -1.0 - 8.0 / kappa
     roots = one_point_exponents(kappa, a_13)
     derived = tuple(check(a_13, r.real) for r in (roots.b_plus, roots.b_minus))
-    return OnePointExponentAudit(kappa, proposed, derived, tolerance)
+    return OnePointExponentAudit(kappa, proposed, derived, AUDIT_TOLERANCE)

@@ -250,6 +250,16 @@ def test_trace_nonfinite_tip_flips_exit_code(tmp_path, monkeypatch, capsys):
     assert "nan" in (only_run_dir(tmp_path / "nan", "trace-") / "trace.csv").read_text()
 
 
+def test_driving_nonfinite_value_flips_exit_code(tmp_path, capsys):
+    # sqrt(kappa dt) overflows: the increments are +-inf and their sum NaN
+    argv = ["driving", "--kappa", "1e308", "--horizon", "1e10", "--steps", "2"]
+    assert run(tmp_path, *argv) == 1
+    assert capsys.readouterr().err.splitlines() == ["driving: non-finite value in the path"]
+    rows = (only_run_dir(tmp_path, "driving-") / "path.csv").read_text().split("\n")
+    assert rows[0:2] == ["t,xi", "0.0,0.0"] and rows[3:] == ["10000000000.0,nan", ""]
+    assert rows[2] in ("5000000000.0,inf", "5000000000.0,-inf")
+
+
 def test_trace_and_radial_fields_are_plain_floats(tmp_path, capsys):
     for sub, name in (("trace", "trace.csv"), ("radial", "radial.csv")):
         assert run(tmp_path, sub, "--kappa", "2", "--steps", "20", "--horizon", "0.5",

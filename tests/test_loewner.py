@@ -12,7 +12,7 @@ from scipy.integrate import solve_ivp
 
 from revsle import loewner
 from revsle.driving import TimeGrid, explicit_path, sample_brownian
-from revsle.loewner import (BranchViolationError, LoewnerEvolution,
+from revsle.loewner import (EPS_SWALLOW, BranchViolationError, LoewnerEvolution,
                             SwallowedPointError,
                             apply_derivative, apply_map,
                             evolve_backward,
@@ -22,6 +22,12 @@ from revsle.loewner import (BranchViolationError, LoewnerEvolution,
 
 def zero_path(horizon, n, kappa=4.0):
     return explicit_path(TimeGrid(horizon, n), kappa, np.zeros(n + 1))
+
+
+def empty_chains():
+    """Chains of no steps, one per direction: one driving value, which no
+    map reads."""
+    return [LoewnerEvolution(direction, [0.7], 0.25) for direction in ("forward", "backward")]
 
 
 # --- branch of the square root ----------------------------------------------
@@ -149,8 +155,8 @@ def test_forward_one_step_closed_form():
 
 
 def test_forward_identity_for_zero_steps():
-    evo = evolve_forward(zero_path(1.0, 4))
-    assert apply_map(evo, 1 + 2j, up_to=0) == 1 + 2j
+    for evo in empty_chains():
+        assert apply_map(evo, 1 + 2j) == 1 + 2j
 
 
 def test_forward_real_point_closed_form():
@@ -192,8 +198,8 @@ def test_zero_driving_step_scaling_exact():
 # --- derivatives -------------------------------------------------------------
 
 def test_derivative_identity():
-    evo = evolve_forward(zero_path(1.0, 5))
-    assert apply_derivative(evo, 2j, up_to=0) == 1.0
+    for evo in empty_chains():
+        assert apply_derivative(evo, 2j) == 1.0
 
 
 def test_derivative_closed_form():
@@ -224,8 +230,8 @@ def test_derivative_real_and_positive_on_real_axis():
 # --- inversion ---------------------------------------------------------------
 
 def test_invert_identity():
-    evo = evolve_forward(zero_path(1.0, 3))
-    assert invert_map(evo, 1.5 + 0.5j, down_from=0) == 1.5 + 0.5j
+    for evo in empty_chains():
+        assert invert_map(evo, 1.5 + 0.5j) == 1.5 + 0.5j
 
 
 def test_invert_forward_closed_form():
@@ -373,6 +379,14 @@ def test_evolution_rejects_unknown_direction():
         LoewnerEvolution("sideways", np.zeros(3), 0.1)
 
 
+@pytest.mark.parametrize("dt", [-0.25, -0.0, 0.0, math.nan, math.inf, -math.inf])
+def test_evolution_rejects_a_step_that_is_not_positive_and_finite(dt):
+    # a negative dt would take a backward step (2i -> i sqrt(5) at -0.25),
+    # a NaN one would map every point to NaN
+    with pytest.raises(ValueError):
+        LoewnerEvolution("forward", [0.0, 0.0], dt)
+
+
 # --- points as arrays -----------------------------------------------------------
 
 def test_array_points_keep_their_shape():
@@ -403,6 +417,41 @@ def test_swallowed_mask():
     four_dt = 0.04
     v = np.array([0j, 0.1j, 0.2j, 0.21j, 1e-13 + 0.1j, 0.1 + 0.1j])
     assert swallowed(v, four_dt).tolist() == [True, True, True, False, True, False]
+
+
+def three_clause_swallowed(v, four_dt):
+    """The swallow mask with a first clause |v| <= EPS_SWALLOW, which the
+    slit and discriminant clauses imply for four_dt >= 0."""
+    return ((np.abs(v) <= EPS_SWALLOW)
+            | ((np.abs(v.real) <= EPS_SWALLOW) & (v.imag ** 2 <= four_dt))
+            | (np.abs(v * v + four_dt) <= EPS_SWALLOW))
+
+
+def ulp_neighbours(x, k=2):
+    """x and the k floats on either side of it, stepped on its uint64 view."""
+    bits = np.array([x], dtype=np.float64).view(np.uint64)
+    return (bits + np.arange(2 * k + 1, dtype=np.uint64) - np.uint64(k)).view(np.float64)
+
+
+@pytest.mark.parametrize("four_dt", [
+    1e-30, np.nextafter(EPS_SWALLOW ** 2, 0.0), EPS_SWALLOW ** 2,
+    np.nextafter(EPS_SWALLOW ** 2, 1.0), 0.04])
+def test_swallowed_mask_equals_the_three_clause_mask(four_dt):
+    edge = np.concatenate([[0.0, 1e-310, math.inf, math.nan, 1e-13, 0.2],
+                           ulp_neighbours(EPS_SWALLOW), ulp_neighbours(math.sqrt(four_dt))])
+    grid = np.concatenate([edge, -edge])
+    rng = np.random.default_rng(41)
+    drawn = 10.0 ** rng.uniform(-15.0, 0.0, (2, 20000)) * rng.standard_normal((2, 20000))
+    # every pair of grid values as (Re, Im): re + 1j*im would turn an inf into NaN
+    v = np.empty(grid.size ** 2 + 20000, dtype=np.complex128)
+    v.real = np.concatenate([np.repeat(grid, grid.size), drawn[0]])
+    v.imag = np.concatenate([np.tile(grid, grid.size), drawn[1]])
+    with np.errstate(invalid="ignore", over="ignore"):   # the grid holds inf and NaN
+        expected = three_clause_swallowed(v, four_dt)
+        for mask in (swallowed(v, four_dt), swallowed(v, four_dt, v * v + four_dt)):
+            assert np.array_equal(mask, expected)
+    assert expected.any() and not expected.all()
+    assert (np.abs(v) <= EPS_SWALLOW).sum() >= 100   # the dropped clause's points are there
 
 
 # --- properties of the slit maps (random drivings and points) ------------------

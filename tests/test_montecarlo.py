@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 from revsle.driving import TimeGrid, raw_normals, sample_brownian
-from revsle.loewner import evolve_backward, swallowed
+from revsle.loewner import swallowed
 import revsle.montecarlo
 from revsle.montecarlo import (_STAGE, BATCH_SIZE, MIN_SPAN, McConfig, _pool_size,
                                _run_batched, _xi_block, run_composed_stats,
                                run_inverse_consistency, run_martingale_test)
-from revsle.observables import ObservableSpec, _one_point_walk, eval_one_point
+from revsle.observables import ObservableSpec, _one_point_walk
 
 
 def one_point(y, a, b):
@@ -272,14 +272,16 @@ def test_engine_is_eval_one_point_per_sample(kappa, horizon, n_steps, eps_stop, 
     cfg = McConfig(kappa=kappa, horizon=horizon, n_steps=n_steps, n_samples=300,
                    master_seed=9, observable=DRIFT_FREE, eps_stop=eps_stop)
     grid = TimeGrid(horizon, n_steps)
-    outs = [eval_one_point(evolve_backward(sample_brownian(grid, kappa, 9, index=i)),
-                           1.0, -3.0, 3.0, eps_stop=eps_stop) for i in range(300)]
+    # the walk on each sample's own path, a one-column block
+    outs = [_one_point_walk(sample_brownian(grid, kappa, 9, index=i).values[:, None],
+                            4.0 * grid.dt, 1.0, -3.0, 3.0, eps_stop, range(n_steps + 1))
+            for i in range(300)]
     # one chunk, then three chunks of at most 128 samples
     for batch_size in (BATCH_SIZE, 128):
         monkeypatch.setattr(revsle.montecarlo, "BATCH_SIZE", batch_size)
         last = run_martingale_test(cfg).checkpoints[-1]
-        assert math.fsum(o.value for o in outs) / 300 == last.mean
-        assert sum(o.stopped for o in outs) == last.n_stopped > 0
+        assert math.fsum(float(frozen[0, -1]) for frozen, _ in outs) / 300 == last.mean
+        assert sum(not alive.all() for _, alive in outs) == last.n_stopped > 0
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -7,14 +7,26 @@ from revsle.driving import TimeGrid, explicit_path, sample_brownian
 from revsle.loewner import apply_derivative, apply_map, evolve_backward, evolve_forward
 from revsle.montecarlo import _xi_block
 from revsle.observables import (ObservableSpec,
-                                PointsTooCloseError, _one_point_walk, audit_one_point_exponents,
+                                PointsTooCloseError, _check_one_point, _one_point_walk,
+                                audit_one_point_exponents,
                                 bpz_generator, bpz_operator_level2,
-                                drift_residual, eval_one_point,
+                                drift_residual,
                                 one_point_exponents)
 
 
 def zero_path(horizon, n, kappa=4.0):
     return explicit_path(TimeGrid(horizon, n), kappa, np.zeros(n + 1))
+
+
+def walk_one_column(path, y, a, b, eps_stop=1e-3):
+    """The one-point walk on the one-column block of a path's driving,
+    recording every step: the value at the last step, and the first step
+    from which the walk can take no further step (None if there is none)."""
+    xi = path.values[:, None]
+    frozen, alive = _one_point_walk(xi, 4.0 * path.grid.dt, y, a, b, eps_stop,
+                                    range(len(xi)))
+    stop = next((k for k, live in enumerate(alive[0]) if not live), None)
+    return float(frozen[0, -1]), stop
 
 
 def one_point_spec(y, h, exponents=None):
@@ -164,16 +176,16 @@ def test_roots_satisfy_drift_residual():
 # --- one-point evaluation ---------------------------------------------------------
 
 def test_eval_one_point_initial_value():
-    evo = evolve_backward(zero_path(0.25, 10))
-    out = eval_one_point(evo, 2.0, a=1.5, b=3.0, up_to=0)
-    assert out.value == pytest.approx(8.0, rel=1e-14)
-    assert (out.stopped, out.stop_step) == (False, None)
+    path = zero_path(0.25, 10)
+    frozen, alive = _one_point_walk(path.values[:, None], 4.0 * path.grid.dt, 2.0, 1.5, 3.0,
+                                    1e-3, range(11))
+    assert frozen[0, 0] == pytest.approx(8.0, rel=1e-14)
+    assert alive[0].all()
 
 
 def test_eval_one_point_constant_exponents():
-    evo = evolve_backward(sample_brownian(TimeGrid(0.02, 50), 4.0, 5))
-    out = eval_one_point(evo, 1.0, a=0.0, b=0.0)
-    assert out.value == 1.0
+    path = sample_brownian(TimeGrid(0.02, 50), 4.0, 5)
+    assert walk_one_column(path, 1.0, a=0.0, b=0.0)[0] == 1.0
 
 
 def reference_walk(xi, four_dt, y, a, b, eps_stop, record):
@@ -271,21 +283,20 @@ def test_walk_derivative_does_not_cancel_on_fine_grids():
 
 def test_eval_one_point_telescopes_zero_driving():
     # (g') * g = (y / g) * g = y exactly for zero driving, any step count
-    evo = evolve_backward(zero_path(0.125, 1))
-    out = eval_one_point(evo, 2.0, a=1.0, b=1.0)
-    assert not out.stopped
-    assert out.value == pytest.approx(2.0, abs=1e-12)
-    evo32 = evolve_backward(zero_path(0.125, 32))
-    assert eval_one_point(evo32, 2.0, 1.0, 1.0).value == pytest.approx(2.0, abs=1e-12)
+    value, stop = walk_one_column(zero_path(0.125, 1), 2.0, a=1.0, b=1.0)
+    assert stop is None
+    assert value == pytest.approx(2.0, abs=1e-12)
+    assert walk_one_column(zero_path(0.125, 32), 2.0, 1.0, 1.0)[0] == pytest.approx(
+        2.0, abs=1e-12)
 
 
 def test_eval_one_point_zero_driving_closed_form():
     # g = sqrt(y^2 - 4t), g' = y/g: value = (y/g)^a g^b
-    evo = evolve_backward(zero_path(0.125, 1))
-    out = eval_one_point(evo, 2.0, a=1.0, b=0.0)
-    assert out.value == pytest.approx(2.0 / math.sqrt(3.5), abs=1e-12)
-    out = eval_one_point(evo, 2.0, a=0.0, b=1.0)
-    assert out.value == pytest.approx(math.sqrt(3.5), abs=1e-12)
+    path = zero_path(0.125, 1)
+    assert walk_one_column(path, 2.0, a=1.0, b=0.0)[0] == pytest.approx(
+        2.0 / math.sqrt(3.5), abs=1e-12)
+    assert walk_one_column(path, 2.0, a=0.0, b=1.0)[0] == pytest.approx(
+        math.sqrt(3.5), abs=1e-12)
 
 
 def test_eval_one_point_stops_when_driving_catches_up():
@@ -294,21 +305,19 @@ def test_eval_one_point_stops_when_driving_catches_up():
     # state inside it
     grid = TimeGrid(0.01, 2)   # dt = 0.005: half steps of capacity 0.0025
     path = explicit_path(grid, 4.0, [0.0, 1.89, 1.89])
-    evo = evolve_backward(path)
     # P = sqrt(4 - 0.01) - 1.89 > sqrt(2 dt) = 0.1: the step is real, but
     # X_1 = sqrt(P^2 - 0.01) lies inside the band
     p = math.sqrt(4.0 - 0.01) - 1.89
     assert p > 0.1 and math.sqrt(p * p - 0.01) < 0.05
-    out = eval_one_point(evo, 2.0, a=0.0, b=1.0, eps_stop=0.05)
-    assert out.stopped
-    assert out.stop_step == 1
-    assert out.value == pytest.approx(2.0, abs=1e-12)   # frozen at t = 0
+    value, stop = walk_one_column(path, 2.0, a=0.0, b=1.0, eps_stop=0.05)
+    assert stop == 1
+    assert value == pytest.approx(2.0, abs=1e-12)   # frozen at t = 0
     # a jump past the point: the second half step has no real root, so the
     # sample stops at step 0 without evaluating a negative power base
-    evo = evolve_backward(explicit_path(grid, 4.0, [0.0, 2.5, 2.5]))
-    out = eval_one_point(evo, 2.0, a=0.0, b=0.5)
-    assert (out.stopped, out.stop_step) == (True, 0)
-    assert out.value == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    value, stop = walk_one_column(explicit_path(grid, 4.0, [0.0, 2.5, 2.5]), 2.0,
+                                  a=0.0, b=0.5)
+    assert stop == 0
+    assert value == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
 
 def test_eval_one_point_stops_at_unsteppable_state():
@@ -316,12 +325,11 @@ def test_eval_one_point_stops_at_unsteppable_state():
     # second half of step 1 -> 2 has no real root
     grid = TimeGrid(0.25, 2)   # dt = 0.125, 2 dt = 0.25, sqrt(2 dt) = 0.5
     path = explicit_path(grid, 4.0, [0.0, 1.2, 1.2])
-    evo = evolve_backward(path)
     x1 = math.sqrt((math.sqrt(3.75) - 1.2) ** 2 - 0.25)
     assert math.sqrt(x1 * x1 - 0.25) <= 0.5
-    out = eval_one_point(evo, 2.0, a=0.0, b=1.0)
-    assert out.stopped and out.stop_step == 1
-    assert out.value == pytest.approx(x1, abs=1e-12)   # frozen at state 1
+    value, stop = walk_one_column(path, 2.0, a=0.0, b=1.0)
+    assert stop == 1
+    assert value == pytest.approx(x1, abs=1e-12)   # frozen at state 1
 
 
 def test_eval_one_point_stops_at_unsteppable_final_state():
@@ -329,12 +337,12 @@ def test_eval_one_point_stops_at_unsteppable_final_state():
     # walk could not begin a further step, so the sample counts as stopped
     # at the last step, as the martingale engine counts it
     grid = TimeGrid(0.25, 2)
-    evo = evolve_backward(explicit_path(grid, 4.0, [0.0, 0.0, 1.1]))
+    path = explicit_path(grid, 4.0, [0.0, 0.0, 1.1])
     p = math.sqrt(3.25) - 1.1   # after the jump to xi_2; X_1^2 = 3.5
     assert 0.5 < p and p * p - 0.25 <= 0.25
-    out = eval_one_point(evo, 2.0, a=0.0, b=1.0)
-    assert (out.stopped, out.stop_step) == (True, 2)
-    assert out.value == pytest.approx(math.sqrt(p * p - 0.25), abs=1e-12)
+    value, stop = walk_one_column(path, 2.0, a=0.0, b=1.0)
+    assert stop == 2
+    assert value == pytest.approx(math.sqrt(p * p - 0.25), abs=1e-12)
 
 
 @pytest.mark.parametrize("y,a,b,eps_stop", [
@@ -342,21 +350,13 @@ def test_eval_one_point_stops_at_unsteppable_final_state():
     (2.0, 0.0, -math.inf, 1e-3), (2.0, 0.0, 1.0, math.nan), (2.0, 0.0, 1.0, -1.0),
     (2.0, 0.0, 1.0, 2.0)])
 def test_eval_one_point_rejects_nonfinite_or_banded_inputs(y, a, b, eps_stop):
-    evo = evolve_backward(zero_path(0.25, 4))
     with pytest.raises(ValueError):
-        eval_one_point(evo, y, a, b, eps_stop=eps_stop)
-
-
-def test_eval_one_point_requires_backward():
-    evo = evolve_forward(zero_path(0.25, 4))
-    with pytest.raises(ValueError):
-        eval_one_point(evo, 2.0, 1.0, 1.0)
+        _check_one_point(y, a, b, eps_stop)
 
 
 def test_eval_one_point_rejects_left_points():
-    evo = evolve_backward(zero_path(0.25, 4))
     with pytest.raises(ValueError):
-        eval_one_point(evo, -2.0, 1.0, 1.0)
+        _check_one_point(-2.0, 1.0, 1.0, 1e-3)
 
 
 # --- proposed-exponent audit --------------------------------------------------------
