@@ -13,9 +13,11 @@ byte-identical data; timestamps and the environment (the numpy and Python
 versions, which the driving stream depends on, and the core count) live only
 in the manifest.  The directory is made only after the inputs are validated
 and the results computed, so a usage error leaves none.  Exit codes: 0 pass,
-1 verdict failure (a non-finite value for ``driving``, a non-finite point
-for ``trace`` and ``radial``, a non-finite driving value for
-``martingale-test``), 2 usage error.
+1 verdict failure, 2 usage error.  A failure on a non-finite value prints
+one line of its own on stderr: a value of the ``driving`` path, a point of
+``trace`` or ``radial``, a driving value of ``martingale-test``, an error of
+``inverse-check``, an image of ``composed`` (which also fails, and prints,
+on an image below the real axis).
 
 ``driving`` writes the sampled driving path alone; ``trace`` and ``radial``
 run a flow on the same path.
@@ -252,6 +254,8 @@ def _inverse_check(cfg, workers):
              "report.json": _json_bytes(fields)}
     text = (f"max_error={report.max_error:.6g} mean_error={report.mean_error:.6g} "
             f"bound={report.bound:.6g} -> {'pass' if report.passed else 'FAIL'}")
+    if not np.isfinite(report.max_error):   # which fails the verdict
+        print("inverse-check: non-finite error in the ensemble", file=sys.stderr)
     return files, 0 if report.passed else 1, text
 
 
@@ -262,8 +266,10 @@ def _composed(cfg, workers):
                                 master_seed=int(cfg["seed"]), workers=workers)
     text = (f"survival={report.survival_fraction:.4f} "
             f"violations={report.containment_violations}")
-    code = 0 if report.containment_violations == 0 else 1
-    return {"report.json": _json_bytes(report)}, code, text
+    if report.containment_violations:
+        print(f"composed: {report.containment_violations} images non-finite or below "
+              f"the real axis", file=sys.stderr)
+    return {"report.json": _json_bytes(report)}, int(report.containment_violations > 0), text
 
 
 # --- the table --------------------------------------------------------------

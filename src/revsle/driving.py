@@ -70,6 +70,8 @@ class TimeGrid:
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        if not self.horizon / self.n_steps > 0.0:
+            raise ValueError(f"horizon / n_steps = {self.horizon} / {self.n_steps} is 0")
 
     @property
     def dt(self) -> float:

@@ -51,8 +51,8 @@ back-rotation as arrays.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -257,8 +257,9 @@ def trace(evo: LoewnerEvolution) -> np.ndarray:
         raise ValueError("trace is defined for forward evolutions")
     vals = evo.driving_values
     w = vals.astype(np.complex128)
-    for j in range(evo.n_steps - 1, -1, -1):
-        w[j + 1:] = _slit_step(w[j + 1:], vals[j], -4.0 * evo.dt)[0]
+    with np.errstate(invalid="ignore", over="ignore"):   # a tip off the floats is NaN below
+        for j in range(evo.n_steps - 1, -1, -1):
+            w[j + 1:] = _slit_step(w[j + 1:], vals[j], -4.0 * evo.dt)[0]
     w[~np.isfinite(w)] = complex(math.nan, math.nan)
     return w
 
@@ -277,13 +278,6 @@ class RadialEvolution:
         return bool(np.all(np.isfinite(self.states)))
 
 
-# The last path's rotation table, (weak reference to the path, table).  A
-# sweep of start points on one path builds the table once; a weak reference
-# cannot match a later path that reuses a dead one's address.  One tuple,
-# rebound whole, so a concurrent reader sees a consistent pair.
-_last_rotations: tuple = (None, None)
-
-
 def _times_i(x: np.ndarray) -> np.ndarray:
     """i*x as complex128, with real part +0.0."""
     out = np.zeros(x.shape, np.complex128)
@@ -291,8 +285,11 @@ def _times_i(x: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=1)
 def _rotations(path: DrivingPath) -> tuple[tuple[list[complex], ...], tuple[np.ndarray, ...]]:
-    """The path's radial table, built once for the most recent path.
+    """The path's radial table, built once for the most recent path.  The
+    cache keys on the path's identity (DrivingPath compares by identity) and
+    holds that one path alive, so no later path can take its address.
 
     With s = e^{-dt/2} and d_k = xi_{k+1} - xi_k, the first part holds the
     coefficients of v -> (r*A - B)/(r*C + D) = s R_{d_k}(i r) as Python
@@ -301,21 +298,17 @@ def _rotations(path: DrivingPath) -> tuple[tuple[list[complex], ...], tuple[np.n
     second holds the complex128 arrays i cos xi_k, i sin xi_k, cos xi_k and
     sin xi_k of the steps, which rotate the roots back.  Every entry is i*x
     or x for a real x, with a +0.0 real or imaginary part."""
-    global _last_rotations
-    ref, table = _last_rotations
-    if ref is None or ref() is not path:
-        s = math.exp(-0.5 * path.grid.dt)
+    s = math.exp(-0.5 * path.grid.dt)
+    xi = path.values[:-1]
+    with np.errstate(invalid="ignore", over="ignore"):   # a non-finite xi gives NaN states
         d = np.diff(path.values)
         cd, sd = np.cos(d), np.sin(d)
-        xi = path.values[:-1]
         cos, sin = np.cos(xi), np.sin(xi)
-        step = (_times_i(s * cd), (s * sd).astype(np.complex128), _times_i(sd),
-                cd.astype(np.complex128))
-        back = (_times_i(cos), _times_i(sin), cos.astype(np.complex128),
-                sin.astype(np.complex128))
-        table = (tuple(a.tolist() for a in step), back)
-        _last_rotations = (weakref.ref(path), table)
-    return table
+    step = (_times_i(s * cd), (s * sd).astype(np.complex128), _times_i(sd),
+            cd.astype(np.complex128))
+    back = (_times_i(cos), _times_i(sin), cos.astype(np.complex128),
+            sin.astype(np.complex128))
+    return tuple(a.tolist() for a in step), back
 
 
 def evolve_wholeplane(path: DrivingPath, z0: complex = 1j) -> RadialEvolution:

@@ -260,6 +260,33 @@ def test_driving_nonfinite_value_flips_exit_code(tmp_path, capsys):
     assert rows[2] in ("5000000000.0,inf", "5000000000.0,-inf")
 
 
+GRID_SUBCOMMANDS = {"driving": [], "trace": [], "radial": [],
+                    "martingale-test": ["--samples", "200", "--workers", "1"],
+                    "inverse-check": ["--samples", "200", "--workers", "1"],
+                    "composed": ["--samples", "200", "--workers", "1"]}
+
+OVERFLOW_MESSAGES = {
+    "driving": "driving: non-finite value in the path",
+    "trace": "trace: non-finite tip in the curve",
+    "radial": "radial: non-finite state in the trajectory",
+    "martingale-test": "martingale-test: 200 samples with a non-finite driving value",
+    "inverse-check": "inverse-check: non-finite error in the ensemble",
+    "composed": "composed: 2400 images non-finite or below the real axis",
+}
+
+
+@pytest.mark.parametrize("sub", GRID_SUBCOMMANDS)
+def test_overflowing_config_fails_with_its_own_line(sub, tmp_path, capsys):
+    # sqrt(kappa dt) overflows, so the driving holds inf and NaN: each run
+    # fails with one stderr line of its own and no numpy warning (which the
+    # suite's warning filter would raise)
+    argv = [sub, "--kappa", "1e308", "--horizon", "1e10", "--steps", "2",
+            *GRID_SUBCOMMANDS[sub]]
+    assert run(tmp_path, *argv) == 1
+    assert capsys.readouterr().err.splitlines() == [OVERFLOW_MESSAGES[sub]]
+    only_run_dir(tmp_path, sub + "-")
+
+
 def test_trace_and_radial_fields_are_plain_floats(tmp_path, capsys):
     for sub, name in (("trace", "trace.csv"), ("radial", "radial.csv")):
         assert run(tmp_path, sub, "--kappa", "2", "--steps", "20", "--horizon", "0.5",
@@ -494,6 +521,10 @@ USAGE_ERRORS = {
     "inverse-check-workers-negative": ["inverse-check", "--samples", "2", "--steps", "5",
                                        "--workers", "-3"],
     "trace-workers-0": ["trace", "--steps", "5", "--workers", "0"],
+    # 5e-324 / 2 is 0.0: a grid of zero steps would pass inverse-check
+    # vacuously and write t = 0 rows
+    **{f"{sub}-step-underflow": [sub, "--horizon", "5e-324", "--steps", "2", *extra]
+       for sub, extra in GRID_SUBCOMMANDS.items()},
 }
 
 

@@ -34,6 +34,19 @@ def test_grid_validation():
             TimeGrid(horizon, 10)
 
 
+@pytest.mark.parametrize("horizon,n_steps", [(5e-324, 2), (5e-324, 3), (1e-320, 10**6)])
+def test_grid_rejects_a_step_that_underflows_to_zero(horizon, n_steps):
+    assert horizon / n_steps == 0.0
+    with pytest.raises(ValueError, match=f"^horizon / n_steps = {horizon} / {n_steps} is 0$"):
+        TimeGrid(horizon, n_steps)
+
+
+def test_grid_keeps_the_smallest_steps():
+    # a subnormal step is still a step
+    for horizon, n_steps in ((5e-324, 1), (1e-320, 1000)):
+        assert TimeGrid(horizon, n_steps).dt > 0.0
+
+
 def test_sample_starts_at_zero_and_has_right_length():
     p = sample_brownian(TimeGrid(1.0, 50), 3.0, 123)
     assert p.values[0] == 0.0

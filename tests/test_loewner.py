@@ -1,6 +1,7 @@
 import cmath
 import math
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
@@ -733,17 +734,20 @@ def test_radial_interleaved_paths_use_their_own_table():
 
 
 def test_radial_table_does_not_outlive_its_path():
+    # the table is cached for one path at a time and holds that path alive,
+    # so no later path can take its address; the next path releases both
+    loewner._rotations.cache_clear()
     grid = TimeGrid(1.0, 30)
-    path = sample_brownian(grid, 2.0, 0)
-    assert_radial_bits(path, -0.5 + 0.5j)
-    del path
-    # a dead path's entry can match no later path, even one at its address
-    ref, _ = loewner._last_rotations
-    assert ref() is None
-    for seed in range(1, 4):
+    refs = []
+    for seed in range(4):
         path = sample_brownian(grid, 2.0, seed)
-        assert_radial_bits(path, -0.5 + 0.5j)
+        for z0 in (-0.5 + 0.5j, 0.5 + 1j):
+            assert_radial_bits(path, z0)
+        refs.append(weakref.ref(path))
         del path
+    info = loewner._rotations.cache_info()
+    assert info.currsize == 1 and info.misses == 4 and info.hits == 4
+    assert [ref() is None for ref in refs] == [True, True, True, False]
 
 
 def test_radial_table_is_safe_under_threads():

@@ -12,10 +12,10 @@ import pytest
 from revsle.driving import TimeGrid, raw_normals, sample_brownian
 from revsle.loewner import swallowed
 import revsle.montecarlo
-from revsle.montecarlo import (_STAGE, BATCH_SIZE, MIN_SPAN, McConfig, _pool_size,
-                               _run_batched, _xi_block, run_composed_stats,
+from revsle.montecarlo import (_STAGE, BATCH_SIZE, MIN_SPAN, McConfig, _one_point_walk,
+                               _pool_size, _run_batched, _xi_block, run_composed_stats,
                                run_inverse_consistency, run_martingale_test)
-from revsle.observables import ObservableSpec, _one_point_walk
+from revsle.observables import ObservableSpec
 
 
 def one_point(y, a, b):

@@ -5,9 +5,9 @@ import pytest
 
 from revsle.driving import TimeGrid, explicit_path, sample_brownian
 from revsle.loewner import apply_derivative, apply_map, evolve_backward, evolve_forward
-from revsle.montecarlo import _xi_block
-from revsle.observables import (ObservableSpec,
-                                PointsTooCloseError, _check_one_point, _one_point_walk,
+from revsle.montecarlo import _check_one_point, _one_point_walk, _xi_block
+from revsle.observables import (DELTA_MIN, ObservableSpec,
+                                PointsTooCloseError, _d1, _d2,
                                 audit_one_point_exponents,
                                 bpz_generator, bpz_operator_level2,
                                 drift_residual,
@@ -111,22 +111,65 @@ def test_generator_matches_analytic_residual():
     assert bpz_generator(spec, f, kappa) == pytest.approx(expected, rel=1e-6)
 
 
+TWO_POINT_SPEC = ObservableSpec(points=(1.3, -0.8), weights=(0.7, -1.2))
+TWO_POINT_FAMILY = [
+    lambda xi, ys: (ys[0] - xi) ** 1.5 * (ys[1] - xi) ** 2,
+    lambda xi, ys: math.exp(0.3 * (ys[0] - xi)) * (ys[1] - xi) ** -1,
+    lambda xi, ys: 1.0 / ((ys[0] - ys[1]) ** 2 + (ys[0] - xi) ** 2),
+]
+
+
 def test_generator_is_twice_level2_operator():
     # the flow generator equals 2x the degenerate operator at b^2 = kappa/4,
     # checked pointwise on a shared family of test functions
     kappa = 3.7
     b2 = kappa / 4.0
-    spec = ObservableSpec(points=(1.3, -0.8), weights=(0.7, -1.2))
-    family = [
-        lambda xi, ys: (ys[0] - xi) ** 1.5 * (ys[1] - xi) ** 2,
-        lambda xi, ys: math.exp(0.3 * (ys[0] - xi)) * (ys[1] - xi) ** -1,
-        lambda xi, ys: 1.0 / ((ys[0] - ys[1]) ** 2 + (ys[0] - xi) ** 2),
-    ]
-    for f in family:
+    for f in TWO_POINT_FAMILY:
         for xi in (0.0, 0.2, -0.4):
-            gen = bpz_generator(spec, f, kappa, xi=xi)
-            op = bpz_operator_level2(spec, f, b2, z=xi)
+            gen = bpz_generator(TWO_POINT_SPEC, f, kappa, xi=xi)
+            op = bpz_operator_level2(TWO_POINT_SPEC, f, b2, z=xi)
             assert abs(gen - 2.0 * op) < 1e-9
+
+
+def generator_written_out(obs, f, kappa, xi=0.0):
+    """The generator's finite-difference formula written out in full:
+    (kappa/2) F_xixi - 2 sum_a [ F_{y_a}/(y_a-xi) - h_a F/(y_a-xi)^2 ]."""
+    ys = obs.points
+    for y in ys:
+        if abs(y - xi) <= DELTA_MIN:
+            raise PointsTooCloseError(f"|{y} - {xi}| <= {DELTA_MIN}")
+    f0 = f(xi, ys)
+    out = 0.5 * kappa * _d2(lambda x: f(x, ys), xi)
+    for i, (y, h_w) in enumerate(zip(ys, obs.weights)):
+        def f_yi(v, i=i):
+            pts = list(ys)
+            pts[i] = v
+            return f(xi, tuple(pts))
+        d = y - xi
+        out -= 2.0 * (_d1(f_yi, y) / d - h_w * f0 / (d * d))
+    return out
+
+
+def test_generator_equals_its_written_out_formula_bit_for_bit():
+    # scaling by 2 and by 1/4 is exact, so twice the operator at
+    # b^2 = kappa/4 is the written-out generator to the last bit: the six
+    # acceptance kappas and 198 drawn from [0.1, 10], three functions and
+    # three driving values, 1836 cases
+    rng = np.random.default_rng(20171024)
+    kappas = [2.0, 8.0 / 3.0, 3.0, 4.0, 6.0, 8.0] + rng.uniform(0.1, 10.0, 198).tolist()
+    cases = 0
+    for kappa in kappas:
+        for f in TWO_POINT_FAMILY:
+            for xi in (0.0, 0.2, -0.4):
+                got = bpz_generator(TWO_POINT_SPEC, f, kappa, xi=xi)
+                assert got == generator_written_out(TWO_POINT_SPEC, f, kappa, xi=xi)
+                cases += 1
+    assert cases == 1836
+    # a point within DELTA_MIN of a driving value away from 0 still raises
+    close = ObservableSpec(points=(0.2 + 1e-7, -0.8), weights=(0.7, -1.2))
+    for kappa in (2.0, 4.0):
+        with pytest.raises(PointsTooCloseError):
+            bpz_generator(close, TWO_POINT_FAMILY[0], kappa, xi=0.2)
 
 
 # --- exponent pairs --------------------------------------------------------------
