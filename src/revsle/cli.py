@@ -15,18 +15,20 @@ in the manifest.  The directory is made only after the inputs are validated
 and the results computed, so a usage error leaves none.  Exit codes: 0 pass,
 1 verdict failure, 2 usage error.  A failure on a non-finite value prints
 one line of its own on stderr: a value of the ``driving`` path, a point of
-``trace`` or ``radial``, a driving value of ``martingale-test``, an error of
-``inverse-check``, an image of ``composed`` (which also fails, and prints,
-on an image below the real axis).
+``trace`` or ``radial``, a driving value or else a checkpoint mean or
+standard error of ``martingale-test``, an error of ``inverse-check``, an
+image of ``composed`` (which also fails, and prints, on an image below the
+real axis).  A sum that overflows is such a non-finite value.
 
 ``driving`` writes the sampled driving path alone; ``trace`` and ``radial``
 run a flow on the same path.
 
 Each subcommand is declared once, in ``_COMMANDS``: its config keys, each
-with a flag type and a default, and a body that turns the merged config into
-data files.  The parser, the config merge and the run writer all read that
-table.  The parser is built once per process and reused by every ``main``
-call; parsing does not change it, so in-process calls stay independent.
+with a flag type and a default, and a body that turns the merged config,
+whose values that table has already typed, into data files.  The parser,
+the config merge and the run writer all read that table.  The parser is
+built once per process and reused by every ``main`` call; parsing does not
+change it, so in-process calls stay independent.
 """
 
 from __future__ import annotations
@@ -52,16 +54,10 @@ from .driving import TimeGrid, sample_brownian
 from .loewner import evolve_forward, evolve_wholeplane, trace
 from .montecarlo import (McConfig, _pool_size, run_composed_stats,
                          run_inverse_consistency, run_martingale_test)
-from .observables import (ObservableSpec, audit_one_point_exponents,
-                          one_point_exponents)
+from .observables import audit_one_point_exponents, one_point_exponents
 from .virasoro import null_vector_12, null_vector_21, w_eigenvalue
 
 _ENV_OUT = "REVSLE_OUT"
-
-# Subcommands that spread their ensemble over worker processes.  Their
-# digested config carries "workers": null, because the worker count never
-# changes the data.
-_POOLED = ("martingale-test", "inverse-check", "composed")
 
 
 class _Key(NamedTuple):
@@ -134,8 +130,8 @@ def _kappa_list(cfg: dict) -> list[Fraction]:
 # directory).  It may normalise values in the config before it is digested.
 
 def _sampled_path(cfg: dict):
-    grid = TimeGrid(float(cfg["horizon"]), int(cfg["steps"]))
-    return grid, sample_brownian(grid, float(cfg["kappa"]), int(cfg["seed"]))
+    grid = TimeGrid(cfg["horizon"], cfg["steps"])
+    return grid, sample_brownian(grid, cfg["kappa"], cfg["seed"])
 
 
 def _finite_code(values, message: str) -> int:
@@ -205,9 +201,9 @@ def _virasoro_check(cfg, workers):
 
 def _exponents(cfg, workers):
     kappa = float(_fraction(str(cfg["kappa"])))
-    audit = audit_one_point_exponents(kappa)   # rejects kappa <= 0 before 8/kappa
-    # an unset h is the (1,3) weight at b^2 = kappa/4
-    h = -1.0 - 8.0 / kappa if cfg["h"] is None else float(cfg["h"])
+    audit = audit_one_point_exponents(kappa)
+    # an unset h is the (1,3) weight at b^2 = kappa/4, the audit's derived a
+    h = audit.derived[0].a if cfg["h"] is None else cfg["h"]
     cfg.update(kappa=kappa, h=h)
     roots = one_point_exponents(kappa, h)
     payload = {
@@ -223,17 +219,17 @@ def _exponents(cfg, workers):
 
 
 def _martingale(cfg, workers):
-    obs = ObservableSpec(points=(float(cfg["y"]),),
-                         weights=(float(cfg["exponent-a"]),),
-                         exponents=(float(cfg["exponent-a"]), float(cfg["exponent-b"])))
-    mc = McConfig(kappa=float(cfg["kappa"]), horizon=float(cfg["horizon"]),
-                  n_steps=int(cfg["steps"]), n_samples=int(cfg["samples"]),
-                  master_seed=int(cfg["seed"]), observable=obs,
-                  eps_stop=float(cfg["eps-stop"]))
+    mc = McConfig(kappa=cfg["kappa"], horizon=cfg["horizon"], n_steps=cfg["steps"],
+                  n_samples=cfg["samples"], master_seed=cfg["seed"], y=cfg["y"],
+                  a=cfg["exponent-a"], b=cfg["exponent-b"], eps_stop=cfg["eps-stop"])
     report = run_martingale_test(mc, workers=workers)
+    overflowed = sum(not np.isfinite([r.mean, r.stderr]).all() for r in report.checkpoints)
     if report.n_nonfinite:
         print(f"martingale-test: {report.n_nonfinite} samples with a non-finite "
               f"driving value", file=sys.stderr)
+    elif overflowed:
+        print(f"martingale-test: {overflowed} checkpoints with a non-finite mean or "
+              f"standard error", file=sys.stderr)
     lines = [f"t={row.t:.6g} mean={row.mean:.8g} z={row.z:+.3f} "
              f"alive={row.n_alive} stopped={row.n_stopped}" for row in report.checkpoints]
     lines.append(f"verdict: {'pass' if report.verdict else 'FAIL'}")
@@ -244,9 +240,8 @@ def _martingale(cfg, workers):
 
 
 def _inverse_check(cfg, workers):
-    report = run_inverse_consistency(float(cfg["kappa"]), float(cfg["horizon"]),
-                                     int(cfg["steps"]), int(cfg["samples"]),
-                                     master_seed=int(cfg["seed"]),
+    report = run_inverse_consistency(cfg["kappa"], cfg["horizon"], cfg["steps"],
+                                     cfg["samples"], master_seed=cfg["seed"],
                                      workers=workers)
     fields = _fields(report)
     errors = fields.pop("sample_errors")
@@ -260,10 +255,9 @@ def _inverse_check(cfg, workers):
 
 
 def _composed(cfg, workers):
-    report = run_composed_stats(float(cfg["kappa"]), float(cfg["horizon"]),
-                                int(cfg["steps"]), int(cfg["samples"]),
-                                shared_driving=bool(cfg["shared-driving"]),
-                                master_seed=int(cfg["seed"]), workers=workers)
+    report = run_composed_stats(cfg["kappa"], cfg["horizon"], cfg["steps"], cfg["samples"],
+                                shared_driving=cfg["shared-driving"],
+                                master_seed=cfg["seed"], workers=workers)
     text = (f"survival={report.survival_fraction:.4f} "
             f"violations={report.containment_violations}")
     if report.containment_violations:
@@ -304,6 +298,11 @@ _COMMANDS: dict[str, tuple[Callable, dict[str, _Key]]] = {
         "steps": _Key(int, 250), "samples": _Key(int, 200), "seed": _Key(int, 0),
         "shared-driving": _Key(bool, False)}),
 }
+
+# Subcommands that spread their ensemble over worker processes, one per
+# sample count.  Their digested config carries "workers": null, because the
+# worker count never changes the data.
+_POOLED = tuple(name for name, (_, keys) in _COMMANDS.items() if "samples" in keys)
 
 
 @functools.cache
@@ -400,7 +399,7 @@ def _run(args) -> int:
     created, t0 = time.time(), time.perf_counter()   # the wall clock may step
     files, code, text = body(cfg, workers)
     if args.subcommand in _POOLED:   # record the processes that ran
-        workers = _pool_size(int(cfg["samples"]), workers)
+        workers = _pool_size(cfg["samples"], workers)
     blob = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
     digest = hashlib.sha256(blob).hexdigest()
     root = Path(args.out or os.environ.get(_ENV_OUT, "runs"))

@@ -6,7 +6,9 @@ computed them.
 Span tasks return per-sample arrays, which the calling process joins in
 sample order and reduces at once: counts, and math.fsum, whose exact
 rounding makes a sum independent of order.  A run is bitwise reproducible
-for any worker count and any span layout.
+for any worker count and any span layout.  Every such sum goes through
+``_fsum``, which reports NaN where fsum raises, so a sum that overflows
+fails the run that holds it.
 
 Spans are chunks of at most BATCH_SIZE samples, each cut into near-equal
 parts when there are fewer chunks than workers; workers are processes forked
@@ -57,7 +59,6 @@ import numpy as np
 
 from .driving import TimeGrid, raw_normals
 from .loewner import slit_sqrt_vec, swallowed
-from .observables import ObservableSpec
 
 __all__ = [
     "BATCH_SIZE",
@@ -81,25 +82,24 @@ Z_THRESHOLD = 3.0   # per-checkpoint |z| limit for the verdict
 
 @dataclass(frozen=True)
 class McConfig:
-    """Martingale-test configuration: one point with an (a, b) pair, checked
-    at five evenly spaced grid times up to the horizon."""
+    """Martingale-test configuration: the product (g'(y))^a (g(y) - xi)^b at
+    one point y, checked at five evenly spaced grid times up to the horizon."""
 
     kappa: float
     horizon: float
     n_steps: int
     n_samples: int
     master_seed: int
-    observable: ObservableSpec
+    y: float
+    a: float
+    b: float
     eps_stop: float = 1e-3
 
     def __post_init__(self):
         _ensemble_dt(self.kappa, self.horizon, self.n_steps, self.n_samples)
         if self.n_samples < 100:
             raise ValueError("need n_samples >= 100")
-        obs = self.observable
-        if len(obs.points) != 1 or obs.exponents is None:
-            raise ValueError("the martingale test takes one point plus an (a, b) pair")
-        _check_one_point(obs.points[0], *obs.exponents, self.eps_stop)
+        _check_one_point(self.y, self.a, self.b, self.eps_stop)
 
     def checkpoint_indices(self) -> list[int]:
         stride = max(1, self.n_steps // 5)
@@ -240,7 +240,9 @@ def _one_point_walk(xi: np.ndarray, four_dt: float, y: float, a: float, b: float
             frozen_sum[idx] = sums[idx]
             frozen_q[idx] = qs[idx]
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a huge driving overflows the running arrays and the recorded values;
+    # the reduction fails such a run
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(xi.shape[0]):
             np.greater(q, eps_stop * eps_stop - half, out=above)   # X > eps_stop
             above &= alive
@@ -272,7 +274,7 @@ def _one_point_walk(xi: np.ndarray, four_dt: float, y: float, a: float, b: float
                 np.subtract(q_0, (k + 1) * four_dt, out=q_prev)
                 q_prev += shift
                 q, q_prev = q_prev, q
-    return np.exp(np.stack(exponent_at, axis=1)), np.stack(alive_at, axis=1)
+        return np.exp(np.stack(exponent_at, axis=1)), np.stack(alive_at, axis=1)
 
 
 def _flow(w: np.ndarray, rows, c: float, alive: Optional[np.ndarray] = None) -> np.ndarray:
@@ -306,6 +308,15 @@ def _flow(w: np.ndarray, rows, c: float, alive: Optional[np.ndarray] = None) -> 
             else:
                 np.copyto(w, step, where=alive)
     return w
+
+
+def _fsum(values) -> float:
+    """math.fsum of the values, or NaN where it raises: on inf - inf, or on
+    finite values whose partial sums overflow."""
+    try:
+        return math.fsum(values)
+    except (ValueError, OverflowError):
+        return math.nan
 
 
 def _xi_block(master_seed: int, lo: int, hi: int, kappa: float,
@@ -349,21 +360,20 @@ def run_martingale_test(config: McConfig, workers: int = 1) -> McReport:
 
     Per checkpoint: mean, standard error, and z = (mean - F_0)/stderr over
     all samples (stopped samples contribute their frozen value).  Verdict is
-    True when every |z| <= 3 and every driving value is finite.
+    True when every mean and standard error is finite, every |z| <= 3 and
+    every driving value is finite.
     """
-    y = config.observable.points[0]
-    a, b = config.observable.exponents
     check_idx = config.checkpoint_indices()
     dt = config.horizon / config.n_steps
-    f0 = y ** b
+    f0 = config.y ** config.b
 
     def batch(lo: int, hi: int):
         xi = _xi_block(config.master_seed, lo, hi, config.kappa, dt, config.n_steps)
         # the walk would freeze a sample at a non-finite X as if it stopped;
         # a running sum keeps a non-finite term, so the last row shows them all
         nonfinite = ~np.isfinite(xi[-1])
-        return (*_one_point_walk(xi, 4.0 * dt, y, a, b, config.eps_stop, check_idx),
-                nonfinite)
+        return (*_one_point_walk(xi, 4.0 * dt, config.y, config.a, config.b,
+                                 config.eps_stop, check_idx), nonfinite)
 
     frozen_at, alive_at, nonfinite = _run_batched(batch, config.n_samples, workers)
     n_nonfinite = int(np.count_nonzero(nonfinite))
@@ -372,9 +382,10 @@ def run_martingale_test(config: McConfig, workers: int = 1) -> McReport:
     all_ok = True
     for k, f, live in zip(check_idx, frozen_at.T, alive_at.T):
         n_alive = int(np.count_nonzero(live))
-        mean = math.fsum(f) / n
-        dev = f - mean
-        var = math.fsum(dev * dev) / (n - 1)
+        mean = _fsum(f) / n
+        with np.errstate(invalid="ignore", over="ignore"):   # an inf value or mean
+            dev = f - mean
+            var = _fsum(dev * dev) / (n - 1)
         stderr = math.sqrt(var / n)
         if mean == f0:
             z = 0.0
@@ -382,7 +393,7 @@ def run_martingale_test(config: McConfig, workers: int = 1) -> McReport:
             z = math.inf if mean > f0 else -math.inf
         else:
             z = (mean - f0) / stderr
-        all_ok = all_ok and abs(z) <= Z_THRESHOLD
+        all_ok = all_ok and abs(z) <= Z_THRESHOLD and math.isfinite(mean) and math.isfinite(stderr)
         checkpoints.append(CheckpointRow(k * dt, mean, stderr, z, n_alive, n - n_alive))
     return McReport(config.kappa, config.horizon, config.n_steps, n,
                     config.master_seed, config.eps_stop, float(f0),
@@ -428,7 +439,7 @@ def run_inverse_consistency(kappa: float, horizon: float, n_steps: int,
     (errors,) = _run_batched(batch, n_samples, workers)
     sample_errors = tuple(errors.tolist())
     max_error = float(np.max(errors))   # NaN-propagating, unlike max()
-    mean_error = math.fsum(sample_errors) / n_samples
+    mean_error = _fsum(sample_errors) / n_samples
     bound = _BOUND_CONSTANT * math.sqrt(horizon / n_steps)
     return InverseConsistencyReport(kappa, horizon, n_steps, n_samples,
                                     master_seed, tuple(complex(z) for z in pts),
@@ -484,9 +495,10 @@ def run_composed_stats(kappa: float, horizon: float, n_steps: int, n_samples: in
     # a non-finite image is a violation: it is not known to lie in H
     violations = int(np.count_nonzero(~np.isfinite(image) | (image.imag < -1e-12)))
     if n_alive:
-        mean_re = math.fsum(image.real) / n_alive
-        mean_im = math.fsum(image.imag) / n_alive
-        mean_sq = math.fsum(image.imag * image.imag) / n_alive
+        mean_re = _fsum(image.real) / n_alive
+        mean_im = _fsum(image.imag) / n_alive
+        with np.errstate(over="ignore"):   # a huge Im w squares to inf
+            mean_sq = _fsum(image.imag * image.imag) / n_alive
         spread = math.sqrt(max(mean_sq - mean_im * mean_im, 0.0))
     else:
         mean_re = mean_im = spread = float("nan")

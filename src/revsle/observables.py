@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 # apply_map and apply_derivative are not called here: perfbench's tracer test
 # pins these two bindings in this module.
@@ -70,14 +70,11 @@ class PointsTooCloseError(Exception):
 
 @dataclass(frozen=True)
 class ObservableSpec:
-    """Boundary observable: points y_a with weights h_a.  ``exponents`` is
-    the pair (a, b) of the one-point product (g'(y))^a * (g(y)-xi)^b that
-    the martingale engine runs; specs for the generator checks leave it None.
-    """
+    """Boundary observable of the generator checks: points y_a with weights
+    h_a."""
 
     points: tuple[float, ...]
     weights: tuple[float, ...]
-    exponents: Optional[tuple[float, float]] = None
 
     def __post_init__(self):
         pts = tuple(float(y) for y in self.points)

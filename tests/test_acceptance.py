@@ -36,9 +36,8 @@ def report(num: int, ok: bool, text: str) -> None:
 # --- shared heavy runs --------------------------------------------------------
 
 def _mc_config(b_exp: float) -> McConfig:
-    obs = ObservableSpec(points=(1.0,), weights=(-3.0,), exponents=(-3.0, b_exp))
     return McConfig(kappa=4.0, horizon=0.05, n_steps=500, n_samples=50_000,
-                    master_seed=MASTER_SEED, observable=obs)
+                    master_seed=MASTER_SEED, y=1.0, a=-3.0, b=b_exp)
 
 
 @pytest.fixture(scope="session")
@@ -105,7 +104,7 @@ def test_criterion_04_generator_oracle_equivalence():
         for h in (0.0, -0.5 - 3.0 / kappa, -1.0 - 8.0 / kappa):  # 0, h12, h13
             roots = one_point_exponents(kappa, h)
             assert not roots.complex_roots
-            spec = ObservableSpec(points=(1.0,), weights=(h,), exponents=(h, 0.0))
+            spec = ObservableSpec(points=(1.0,), weights=(h,))
             for b in (roots.b_plus.real, roots.b_minus.real):
                 f = lambda xi, ys, b=b: (ys[0] - xi) ** b
                 res = abs(bpz_generator(spec, f, kappa))

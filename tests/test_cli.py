@@ -7,6 +7,7 @@ import math
 import multiprocessing
 import os
 import platform
+import re
 import subprocess
 import sys
 import threading
@@ -285,6 +286,42 @@ def test_overflowing_config_fails_with_its_own_line(sub, tmp_path, capsys):
     assert run(tmp_path, *argv) == 1
     assert capsys.readouterr().err.splitlines() == [OVERFLOW_MESSAGES[sub]]
     only_run_dir(tmp_path, sub + "-")
+
+
+# A huge but finite driving: composed's images hold both +inf and -inf, whose
+# sum math.fsum cannot take; the walk's values overflow at 50 steps, while at
+# 2 steps every sample freezes at step 0 and the run passes.  And 100^154 is
+# finite while the sum of 200 such values is not.  Each run ends with its
+# verdict and at most one stderr line of its own: no usage error, traceback
+# or numpy warning (which the suite's warning filter would raise).
+HUGE = ["--kappa", "1e308", "--horizon", "1", "--samples", "200", "--workers", "1"]
+CHECKPOINT_LINE = r"martingale-test: \d+ checkpoints with a non-finite mean or standard error"
+IMAGE_LINE = r"composed: \d+ images non-finite or below the real axis"
+OVERFLOWING_SUMS = {
+    "composed-2": (["composed", *HUGE, "--steps", "2"], 1, IMAGE_LINE),
+    "composed-50": (["composed", *HUGE, "--steps", "50"], 1, IMAGE_LINE),
+    "martingale-test-2": (["martingale-test", *HUGE, "--steps", "2"], 0, None),
+    "martingale-test-50": (["martingale-test", *HUGE, "--steps", "50"], 1, CHECKPOINT_LINE),
+    "martingale-test-y100": (["martingale-test", "--y", "100", "--exponent-a", "0",
+                              "--exponent-b", "154", "--samples", "200", "--steps", "10",
+                              "--workers", "1"], 1, CHECKPOINT_LINE),
+}
+
+
+@pytest.mark.parametrize("argv,code,line", OVERFLOWING_SUMS.values(), ids=OVERFLOWING_SUMS)
+def test_overflowing_sum_fails_with_its_own_line(argv, code, line, tmp_path, capsys):
+    assert run(tmp_path, *argv) == code
+    err = capsys.readouterr().err.splitlines()
+    if line is None:
+        assert err == []
+    else:
+        assert len(err) == 1 and re.fullmatch(line, err[0]), err
+    if argv[0] == "martingale-test":
+        report = json.loads((only_run_dir(tmp_path, argv[0] + "-") / "report.json").read_text())
+        assert report["verdict"] is (code == 0)
+        if code == 0:   # every sample froze at step 0, at F_0 = 1
+            assert {(row["mean"], row["n_stopped"]) for row in report["checkpoints"]} == {
+                (1.0, 200)}
 
 
 def test_trace_and_radial_fields_are_plain_floats(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import ast
 import math
 import multiprocessing
 import os
@@ -5,6 +6,7 @@ import statistics
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,11 +17,11 @@ import revsle.montecarlo
 from revsle.montecarlo import (_STAGE, BATCH_SIZE, MIN_SPAN, McConfig, _one_point_walk,
                                _pool_size, _run_batched, _xi_block, run_composed_stats,
                                run_inverse_consistency, run_martingale_test)
-from revsle.observables import ObservableSpec
 
 
 def one_point(y, a, b):
-    return ObservableSpec(points=(y,), weights=(a,), exponents=(a, b))
+    """McConfig's observable fields: the point y and the pair (a, b)."""
+    return dict(y=y, a=a, b=b)
 
 
 DRIFT_FREE = one_point(1.0, -3.0, 3.0)   # kappa = 4: -3 = 3 - 4*3*2/4
@@ -29,38 +31,48 @@ WRONG_PAIR = one_point(1.0, -3.0, 2.0)   # drift coefficient -6
 def test_config_validation():
     with pytest.raises(ValueError):
         McConfig(kappa=0.0, horizon=0.05, n_steps=10, n_samples=100,
-                 master_seed=0, observable=DRIFT_FREE)
+                 master_seed=0, **DRIFT_FREE)
     with pytest.raises(ValueError):
         McConfig(kappa=4.0, horizon=0.05, n_steps=10, n_samples=50,
-                 master_seed=0, observable=DRIFT_FREE)
+                 master_seed=0, **DRIFT_FREE)
     for kappa, horizon, n_steps in ((math.inf, 0.05, 10), (4.0, math.inf, 10),
                                     (4.0, 0.0, 10), (4.0, 0.05, 0)):
         with pytest.raises(ValueError):
             McConfig(kappa=kappa, horizon=horizon, n_steps=n_steps, n_samples=100,
-                     master_seed=0, observable=DRIFT_FREE)
+                     master_seed=0, **DRIFT_FREE)
     for eps_stop in (math.nan, math.inf, -1.0, 1.0):   # 1.0: y = 1 starts in the band
         with pytest.raises(ValueError):
             McConfig(kappa=4.0, horizon=0.05, n_steps=10, n_samples=100,
-                     master_seed=0, observable=DRIFT_FREE, eps_stop=eps_stop)
+                     master_seed=0, **DRIFT_FREE, eps_stop=eps_stop)
     # the engine runs one point with an (a, b) pair, all finite
-    bad = [ObservableSpec(points=(1.0,), weights=(1.0,)),
-           ObservableSpec(points=(1.0, 2.0), weights=(1.0, 1.0), exponents=(1.0, 1.0))]
-    bad += [one_point(y, a, b) for y, a, b in ((math.inf, 0.0, 1.0), (math.nan, 0.0, 1.0),
-                                               (2.0, math.nan, 1.0), (2.0, 0.0, -math.inf))]
-    for obs in bad:
+    for y, a, b in ((math.inf, 0.0, 1.0), (math.nan, 0.0, 1.0),
+                    (2.0, math.nan, 1.0), (2.0, 0.0, -math.inf)):
         with pytest.raises(ValueError):
             McConfig(kappa=4.0, horizon=0.05, n_steps=10, n_samples=100,
-                     master_seed=0, observable=obs)
+                     master_seed=0, **one_point(y, a, b))
     McConfig(kappa=4.0, horizon=0.05, n_steps=10, n_samples=100,
-             master_seed=0, observable=DRIFT_FREE, eps_stop=0.0)   # no stopping band
+             master_seed=0, **DRIFT_FREE, eps_stop=0.0)   # no stopping band
 
 
 def test_default_checkpoints_end_at_horizon():
     cfg = McConfig(kappa=4.0, horizon=0.05, n_steps=100, n_samples=100,
-                   master_seed=0, observable=DRIFT_FREE)
+                   master_seed=0, **DRIFT_FREE)
     idx = cfg.checkpoint_indices()
     assert len(idx) == 5
     assert idx[-1] == 100
+
+
+def test_engine_imports_only_driving_and_loewner():
+    # revsle/__init__ imports every module, so sys.modules cannot show which
+    # ones the engine needs; its own import statements can
+    tree = ast.parse(Path(revsle.montecarlo.__file__).read_text())
+    local = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("revsle")):
+            local.add(node.module)
+        elif isinstance(node, ast.Import):
+            assert not [a.name for a in node.names if a.name.startswith("revsle")]
+    assert local == {"driving", "loewner"}
 
 
 # 1, 2 and 17 steps give running sums of one, two and many terms; spans of
@@ -134,7 +146,7 @@ def test_nearby_master_seeds_share_no_sample_column():
 # fork a pool of worker processes wherever there are two cores
 @pytest.mark.parametrize("engine", [
     lambda: run_martingale_test(McConfig(kappa=4.0, horizon=0.05, n_steps=3, n_samples=4100,
-                                         master_seed=1, observable=DRIFT_FREE), workers=4),
+                                         master_seed=1, **DRIFT_FREE), workers=4),
     lambda: run_inverse_consistency(4.0, 0.05, 3, 4100, master_seed=1, workers=4),
     lambda: run_composed_stats(4.0, 0.05, 3, 4100, master_seed=1, workers=4),
 ], ids=["martingale", "inverse", "composed"])
@@ -222,7 +234,7 @@ def test_run_batched_reraises_and_leaves_nothing_running(n):
 @pytest.mark.parametrize("n", [1000, 9000])
 @pytest.mark.parametrize("engine", [
     lambda n, w: run_martingale_test(McConfig(kappa=4.0, horizon=0.05, n_steps=4, n_samples=n,
-                                              master_seed=4, observable=DRIFT_FREE), workers=w),
+                                              master_seed=4, **DRIFT_FREE), workers=w),
     lambda n, w: run_inverse_consistency(4.0, 0.5, 4, n, master_seed=4, workers=w),
     lambda n, w: run_composed_stats(4.0, 0.25, 4, n, master_seed=4, workers=w),
     lambda n, w: run_composed_stats(4.0, 0.25, 4, n, shared_driving=True, master_seed=4,
@@ -236,7 +248,7 @@ def test_engine_bytes_identical_across_worker_counts(engine, n):
 
 @pytest.mark.parametrize("engine", [
     lambda: run_martingale_test(McConfig(kappa=4.0, horizon=0.05, n_steps=50, n_samples=9000,
-                                         master_seed=123456789, observable=DRIFT_FREE),
+                                         master_seed=123456789, **DRIFT_FREE),
                                 workers=2),
     lambda: run_composed_stats(4.0, 0.25, 100, 9000, master_seed=5, workers=2),
 ], ids=["martingale", "composed"])
@@ -252,7 +264,7 @@ def test_constant_observable_mean_is_exactly_one():
     # a = b = 0 freezes every sample at 1; the stopping bookkeeping must not
     # disturb the mean even though many samples stop on this horizon
     cfg = McConfig(kappa=4.0, horizon=0.2, n_steps=200, n_samples=500,
-                   master_seed=3, observable=one_point(1.0, 0.0, 0.0))
+                   master_seed=3, **one_point(1.0, 0.0, 0.0))
     rep = run_martingale_test(cfg)
     assert rep.f0 == 1.0
     for row in rep.checkpoints:
@@ -270,7 +282,7 @@ def test_constant_observable_mean_is_exactly_one():
                          [(4.0, 0.2, 40, 1e-3), (6.0, 0.5, 25, 0.05)])
 def test_engine_is_eval_one_point_per_sample(kappa, horizon, n_steps, eps_stop, monkeypatch):
     cfg = McConfig(kappa=kappa, horizon=horizon, n_steps=n_steps, n_samples=300,
-                   master_seed=9, observable=DRIFT_FREE, eps_stop=eps_stop)
+                   master_seed=9, **DRIFT_FREE, eps_stop=eps_stop)
     grid = TimeGrid(horizon, n_steps)
     # the walk on each sample's own path, a one-column block
     outs = [_one_point_walk(sample_brownian(grid, kappa, 9, index=i).values[:, None],
@@ -289,7 +301,7 @@ def test_nonfinite_driving_fails_the_verdict(workers, nonfinite_driving):
     # the walk would freeze both samples as if they had stopped, and the
     # verdict would pass
     cfg = McConfig(kappa=4.0, horizon=0.05, n_steps=100, n_samples=2000,
-                   master_seed=11, observable=DRIFT_FREE)
+                   master_seed=11, **DRIFT_FREE)
     clean = run_martingale_test(cfg, workers=workers)
     assert clean.verdict and clean.n_nonfinite == 0
     nonfinite_driving()
@@ -300,7 +312,7 @@ def test_nonfinite_driving_fails_the_verdict(workers, nonfinite_driving):
 
 def test_drift_free_pair_passes():
     cfg = McConfig(kappa=4.0, horizon=0.05, n_steps=100, n_samples=2000,
-                   master_seed=11, observable=DRIFT_FREE)
+                   master_seed=11, **DRIFT_FREE)
     rep = run_martingale_test(cfg)
     assert rep.verdict
     assert all(abs(row.z) <= 3.0 for row in rep.checkpoints)
@@ -310,7 +322,7 @@ def test_wrong_pair_fails_with_negative_drift():
     # residual 2a - 2b + kappa b(b-1)/2 = -6 < 0: the mean decays, roughly
     # linearly in t at small t
     cfg = McConfig(kappa=4.0, horizon=0.05, n_steps=100, n_samples=20000,
-                   master_seed=11, observable=WRONG_PAIR)
+                   master_seed=11, **WRONG_PAIR)
     rep = run_martingale_test(cfg)
     assert not rep.verdict
     dev = [rep.f0 - row.mean for row in rep.checkpoints]
@@ -322,7 +334,7 @@ def test_wrong_pair_fails_with_negative_drift():
 
 def test_reproducible_across_worker_counts():
     cfg = McConfig(kappa=4.0, horizon=0.05, n_steps=80, n_samples=9000,
-                   master_seed=5, observable=DRIFT_FREE)
+                   master_seed=5, **DRIFT_FREE)
     rep1 = run_martingale_test(cfg, workers=1)
     rep3 = run_martingale_test(cfg, workers=3)
     assert repr(rep1) == repr(rep3)
@@ -333,7 +345,7 @@ def test_checkpoint_variance_is_two_pass():
     # one-pass sum of squares minus n mean^2 loses about three digits here
     n, n_steps, y = 300, 20, 1e6
     cfg = McConfig(kappa=4.0, horizon=0.05, n_steps=n_steps, n_samples=n,
-                   master_seed=2, observable=one_point(y, 1.0, 1.0))
+                   master_seed=2, **one_point(y, 1.0, 1.0))
     rep = run_martingale_test(cfg)
     dt = 0.05 / n_steps
     xi = _xi_block(2, 0, n, 4.0, dt, n_steps)
@@ -346,7 +358,7 @@ def test_checkpoint_variance_is_two_pass():
 
 def test_stderr_scales_with_sample_count():
     base = dict(kappa=4.0, horizon=0.05, n_steps=50, master_seed=17,
-                observable=DRIFT_FREE)
+                **DRIFT_FREE)
     small = run_martingale_test(McConfig(n_samples=1000, **base))
     large = run_martingale_test(McConfig(n_samples=4000, **base))
     for r_small, r_large in zip(small.checkpoints, large.checkpoints):

@@ -29,9 +29,8 @@ def walk_one_column(path, y, a, b, eps_stop=1e-3):
     return float(frozen[0, -1]), stop
 
 
-def one_point_spec(y, h, exponents=None):
-    return ObservableSpec(points=(y,), weights=(h,),
-                          exponents=exponents or (h, 0.0))
+def one_point_spec(y, h):
+    return ObservableSpec(points=(y,), weights=(h,))
 
 
 # --- covariant transport: a weight-h primary picks up (g'(z))^h at g(z) --------
@@ -433,7 +432,7 @@ def test_audit_kappa_4_derived_pairs():
 
 def test_observable_spec_validation():
     with pytest.raises(ValueError):
-        ObservableSpec(points=(0.0,), weights=(1.0,), exponents=(1.0, 1.0))
+        ObservableSpec(points=(0.0,), weights=(1.0,))
     with pytest.raises(ValueError):
         ObservableSpec(points=(1.0, 1.0), weights=(1.0, 1.0))
     with pytest.raises(ValueError):
