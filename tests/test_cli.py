@@ -291,9 +291,11 @@ def test_overflowing_config_fails_with_its_own_line(sub, tmp_path, capsys):
 # A huge but finite driving: composed's images hold both +inf and -inf, whose
 # sum math.fsum cannot take; the walk's values overflow at 50 steps, while at
 # 2 steps every sample freezes at step 0 and the run passes.  And 100^154 is
-# finite while the sum of 200 such values is not.  Each run ends with its
-# verdict and at most one stderr line of its own: no usage error, traceback
-# or numpy warning (which the suite's warning filter would raise).
+# finite while the sum of 200 such values is not; 100^100 sums, but its
+# squared deviations do not, and an infinite standard error gives z = 0.
+# Each run ends with its verdict and at most one stderr line of its own: no
+# usage error, traceback or numpy warning (which the suite's warning filter
+# would raise).
 HUGE = ["--kappa", "1e308", "--horizon", "1", "--samples", "200", "--workers", "1"]
 CHECKPOINT_LINE = r"martingale-test: \d+ checkpoints with a non-finite mean or standard error"
 IMAGE_LINE = r"composed: \d+ images non-finite or below the real axis"
@@ -305,6 +307,9 @@ OVERFLOWING_SUMS = {
     "martingale-test-y100": (["martingale-test", "--y", "100", "--exponent-a", "0",
                               "--exponent-b", "154", "--samples", "200", "--steps", "10",
                               "--workers", "1"], 1, CHECKPOINT_LINE),
+    "martingale-test-y100-b100": (["martingale-test", "--y", "100", "--exponent-a", "0",
+                                   "--exponent-b", "100", "--samples", "200", "--steps", "10",
+                                   "--workers", "1"], 1, CHECKPOINT_LINE),
 }
 
 
