@@ -38,6 +38,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import os
 import platform
 import sys
@@ -227,6 +228,8 @@ def _martingale(cfg, workers):
     if report.n_nonfinite:
         print(f"martingale-test: {report.n_nonfinite} samples with a non-finite "
               f"driving value", file=sys.stderr)
+    elif not math.isfinite(report.f0):
+        print(f"martingale-test: F_0 = y^b overflows at y={mc.y}, b={mc.b}", file=sys.stderr)
     elif overflowed:
         print(f"martingale-test: {overflowed} checkpoints with a non-finite mean or "
               f"standard error", file=sys.stderr)
@@ -284,7 +287,7 @@ _COMMANDS: dict[str, tuple[Callable, dict[str, _Key]]] = {
                       "comma-separated list; fractions like 8/3 stay exact")}),
     "virasoro-check": (_virasoro_check, {
         "kappa": _Key(str, "2", "comma-separated rationals")}),
-    "exponents": (_exponents, {"kappa": _Key(str, 4.0), "h": _Key(float, None)}),
+    "exponents": (_exponents, {"kappa": _Key(str, "4"), "h": _Key(float, None)}),
     "martingale-test": (_martingale, {
         "kappa": _Key(float, 4.0), "horizon": _Key(float, 0.05),
         "steps": _Key(int, 500), "samples": _Key(int, 50000), "seed": _Key(int, 0),

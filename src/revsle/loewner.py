@@ -19,13 +19,15 @@ test for it.
 The square root branch is fixed by two conditions: the image has
 non-negative imaginary part, and the map is asymptotic to the identity at
 infinity (the real part of the root carries the sign of Re(w - xi)).
-:func:`slit_sqrt_vec` takes numpy's principal root, which has Re >= 0 and
-the sign of Im u in Im, and moves it into the upper half-plane in place:
-the real part takes the sign of the imaginary part, which then drops its
-sign.  A root on the real axis is a tie that only the hint breaks; a call
-that holds one negates the principal root where it breaks either
-condition instead.  Both give the same bits, and both root components keep
-full relative accuracy, also when |Im u| << |Re u|.
+:func:`slit_sqrt_vec` computes that root in numpy vector passes with
+glibc csqrt's half-angle formula, t = sqrt(0.5*(|u| + |Re u|)) and
+q = 0.5*(|Im u| / t), whose components keep full relative accuracy, also
+when |Im u| << |Re u|; |u| is numpy's SIMD complex modulus, a few ns per
+element where libm's csqrt costs some 30.  A root on the real axis is a tie
+that only the hint breaks; such ties, zeros, moduli near underflow or
+overflow, infs and NaNs take numpy's principal root instead, negated where
+it breaks either condition.  Each element is selected by its own value, so
+its bits never depend on the rest of the call.
 
 A whole-plane-type radial flow on the upper half-plane,
 
@@ -51,6 +53,7 @@ back-rotation as arrays.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -80,6 +83,14 @@ __all__ = [
 # degenerate configuration are treated as absorbed / invalid.
 EPS_SWALLOW = 1e-12
 
+# Moduli for which slit_sqrt_vec takes the half-angle formula, and its
+# constants; as 0-d arrays, since numpy 2 spends some 0.4 us per ufunc call
+# on a Python float operand
+_HALF_ANGLE_MIN = np.array(2.0 ** -1000)
+_HALF_ANGLE_MAX = np.array(2.0 ** 1000)
+_HALF = np.array(0.5)
+_ZERO = np.array(0.0)
+
 
 class SwallowedPointError(Exception):
     """A forward orbit hit the driving singularity (point absorbed by the hull)."""
@@ -102,23 +113,58 @@ class BranchViolationError(Exception):
 def slit_sqrt_vec(u: np.ndarray, re_hint: np.ndarray) -> np.ndarray:
     """Elementwise square root of u with Im >= 0 (complex128 arrays); for
     real u >= 0 the sign of the real part follows ``re_hint`` (the sign of
-    Re(w - xi), identity at infinity).  Returns a new array.
+    Re(w - xi), identity at infinity), an array of u's shape or a scalar.
+    Returns a new array.
 
     When Im(u) != 0 there is exactly one root with positive imaginary part,
-    so the hint only breaks the tie on the real axis.  numpy's principal
-    root (C99 csqrt) has a clear sign bit in Re and the sign of Im u in Im,
-    so off the axis the root in the upper half-plane is
-    (copysign(Re, Im), |Im|): two in-place passes on the fresh root.  A
-    call whose roots include one with Im = +-0 (a real-axis tie, rare in
-    the ensembles but at every tip of :func:`trace`) negates the principal
-    root where Im < 0, or at a tie where the hint is negative, instead.
-    Either way every bit equals that rule's.
+    so the hint only breaks the tie on the real axis.  An element with
+    Im u != 0 and modulus d in [2^-1000, 2^1000] takes glibc csqrt's
+    half-angle formula, in csqrt's operation order:
+    t = sqrt(0.5*(d + |Re u|)) and q = 0.5*(|Im u| / t), and the root is
+    (sign(Im u) t, q) when Re u > 0, else (sign(Im u) q, t).  d is numpy's
+    complex modulus, not libm's hypot: a SIMD pass of a few ns per element,
+    where csqrt costs some 30, whose bits do not depend on the array's
+    length or layout (a negatively strided u is read through a contiguous
+    copy, as numpy takes hypot there).  It may differ from hypot in the
+    last bit, and so may the root.  Below 2^-1000 the modulus is inexact
+    for subnormal d, and above 2^1000 d + |Re u| nears overflow.  A tie on
+    the negative half-axis takes the formula too, as there d = |Re u|
+    exactly and q = +0 give the principal rule's bits.
+
+    Every other element (a tie with Re u >= 0, a zero, a modulus out of
+    that range, an inf or a NaN) keeps numpy's principal root (csqrt),
+    negated where its Im < 0, or at a tie where the hint is negative; on
+    those elements the formula's add and divide are masked, so they raise
+    no flag.  Each element is selected by its own u, so its bits depend
+    only on its own u and hint, never on the rest of the call; a call whose
+    elements all take the formula only skips the masks.
     """
-    s = np.asarray(np.sqrt(u))   # a 0-d u gives a scalar; make it writable
-    if not s.imag.all():         # a tie: some Im is +-0 (NaN counts as nonzero)
-        return np.where((s.imag < 0.0) | ((s.imag == 0.0) & (re_hint < 0.0)), -s, s)
-    np.copysign(s.real, s.imag, out=s.real)
-    np.abs(s.imag, out=s.imag)
+    if u.ndim == 0:   # ufuncs give scalars, not arrays, for 0-d operands
+        return slit_sqrt_vec(u.reshape(1), re_hint).reshape(())
+    re, im = u.real, u.imag
+    d = np.abs(np.ascontiguousarray(u))   # a negative stride would take libm's hypot
+    ok = (d >= _HALF_ANGLE_MIN) & (d <= _HALF_ANGLE_MAX)
+    ok &= np.logical_or(im, re < _ZERO)   # Im u != 0 or Re u < 0
+    all_ok = np.count_nonzero(ok) == ok.size
+    where = True if all_ok else ok   # no flag from an element replaced below
+    t = np.abs(re)
+    np.add(t, d, out=t, where=where)
+    t *= _HALF
+    np.sqrt(t, out=t)
+    q = np.abs(im, out=d)   # d is spent
+    np.divide(q, t, out=q, where=where)
+    q *= _HALF
+    pos = re > _ZERO
+    s = np.empty(u.shape, np.complex128)
+    np.copysign(np.where(pos, t, q), im, out=s.real)
+    s.imag = np.where(pos, q, t)
+    if not all_ok:
+        bad = ~ok
+        p = np.sqrt(u[bad])
+        hint = re_hint[bad] if np.ndim(re_hint) else re_hint
+        pi = p.imag
+        np.negative(p, out=p, where=(pi < _ZERO) | ((pi == _ZERO) & (hint < _ZERO)))
+        s[bad] = p
     return s
 
 
@@ -252,14 +298,24 @@ def invert_map(evo: LoewnerEvolution, w):
 def trace(evo: LoewnerEvolution) -> np.ndarray:
     """Curve tip samples gamma_k = g_k^{-1}(xi_k) for a forward evolution
     (zipper evaluation): the inverse of step j, for j from last to first,
-    moves every tip k > j.  Unresolved tips are reported as nan+nan*1j."""
+    moves every tip k > j.  Unresolved tips are reported as nan+nan*1j.
+
+    Each step is :func:`_slit_step` written out on the tail of two buffers
+    made once, the offsets v and the discriminant u, and writes its image
+    into w in place, with the same bits."""
     if evo.direction != "forward":
         raise ValueError("trace is defined for forward evolutions")
     vals = evo.driving_values
     w = vals.astype(np.complex128)
+    v, u = np.empty_like(w), np.empty_like(w)
+    c = -4.0 * evo.dt
     with np.errstate(invalid="ignore", over="ignore"):   # a tip off the floats is NaN below
         for j in range(evo.n_steps - 1, -1, -1):
-            w[j + 1:] = _slit_step(w[j + 1:], vals[j], -4.0 * evo.dt)[0]
+            x, tail, vj, uj = vals[j], w[j + 1:], v[j + 1:], u[j + 1:]
+            np.subtract(tail, x, out=vj)
+            np.multiply(vj, vj, out=uj)
+            uj += c
+            np.add(slit_sqrt_vec(uj, vj.real), x, out=tail)
     w[~np.isfinite(w)] = complex(math.nan, math.nan)
     return w
 
@@ -320,8 +376,8 @@ def evolve_wholeplane(path: DrivingPath, z0: complex = 1j) -> RadialEvolution:
     R_{xi_k}(g_k), starting from the rotation of z0 by xi_0, and costs one
     square root and one Mobius map per step, with Python complex operands
     from :func:`_rotations` (hit by repeated calls on one path).  The roots
-    r_k are rotated back to the states g_{k+1} = R_{-xi_k}(i r_k) in one
-    numpy pass."""
+    r_k are written into the states and rotated back in place to
+    g_{k+1} = R_{-xi_k}(i r_k) by a few numpy passes."""
     z0 = complex(z0)
     if not (math.isfinite(z0.real) and math.isfinite(z0.imag) and z0.imag > 0.0):
         raise ValueError(f"initial point {z0} must be finite, in the open upper half-plane")
@@ -337,9 +393,17 @@ def evolve_wholeplane(path: DrivingPath, z0: complex = 1j) -> RadialEvolution:
         r = sqrt(p - v * v)
         append(r)
         v = (r * ak - bk) / (r * ck + dk)
-    r = np.array(roots, dtype=np.complex128)
     states = np.empty(len(roots) + 1, dtype=np.complex128)
     states[0] = z0
-    with np.errstate(invalid="ignore"):   # a NaN root gives NaN states, not a warning
-        np.divide(r * icos + sin, cos - r * isin, out=states[1:])
+    r = states[1:]
+    r[:] = roots
+    # a NaN or inf root makes every later v NaN, the last one too, so a
+    # finite v means finite roots, whose rotation raises no flag
+    finite = math.isfinite(v.real) and math.isfinite(v.imag)
+    with contextlib.nullcontext() if finite else np.errstate(invalid="ignore"):
+        num = r * icos
+        num += sin
+        den = r * isin
+        np.subtract(cos, den, out=den)
+        np.divide(num, den, out=r)
     return RadialEvolution(states, path)

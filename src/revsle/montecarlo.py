@@ -360,12 +360,15 @@ def run_martingale_test(config: McConfig, workers: int = 1) -> McReport:
 
     Per checkpoint: mean, standard error, and z = (mean - F_0)/stderr over
     all samples (stopped samples contribute their frozen value).  Verdict is
-    True when every mean and standard error is finite, every |z| <= 3 and
-    every driving value is finite.
+    True when F_0 = y^b, every mean and standard error and every driving
+    value is finite and every |z| <= 3.
     """
     check_idx = config.checkpoint_indices()
     dt = config.horizon / config.n_steps
-    f0 = config.y ** config.b
+    try:
+        f0 = config.y ** config.b
+    except OverflowError:   # y^b past the floats: no mean can match it, the verdict fails
+        f0 = math.inf
 
     def batch(lo: int, hi: int):
         xi = _xi_block(config.master_seed, lo, hi, config.kappa, dt, config.n_steps)
@@ -397,7 +400,8 @@ def run_martingale_test(config: McConfig, workers: int = 1) -> McReport:
         checkpoints.append(CheckpointRow(k * dt, mean, stderr, z, n_alive, n - n_alive))
     return McReport(config.kappa, config.horizon, config.n_steps, n,
                     config.master_seed, config.eps_stop, float(f0),
-                    tuple(checkpoints), n_nonfinite, all_ok and n_nonfinite == 0)
+                    tuple(checkpoints), n_nonfinite,
+                    all_ok and n_nonfinite == 0 and math.isfinite(f0))
 
 
 @dataclass(frozen=True)

@@ -293,12 +293,14 @@ def test_overflowing_config_fails_with_its_own_line(sub, tmp_path, capsys):
 # 2 steps every sample freezes at step 0 and the run passes.  And 100^154 is
 # finite while the sum of 200 such values is not; 100^100 sums, but its
 # squared deviations do not, and an infinite standard error gives z = 0.
+# 100^155 is past the floats, so F_0 itself overflows and fails the verdict.
 # Each run ends with its verdict and at most one stderr line of its own: no
 # usage error, traceback or numpy warning (which the suite's warning filter
 # would raise).
 HUGE = ["--kappa", "1e308", "--horizon", "1", "--samples", "200", "--workers", "1"]
 CHECKPOINT_LINE = r"martingale-test: \d+ checkpoints with a non-finite mean or standard error"
 IMAGE_LINE = r"composed: \d+ images non-finite or below the real axis"
+F0_LINE = r"martingale-test: F_0 = y\^b overflows at y=100\.0, b=155\.0"
 OVERFLOWING_SUMS = {
     "composed-2": (["composed", *HUGE, "--steps", "2"], 1, IMAGE_LINE),
     "composed-50": (["composed", *HUGE, "--steps", "50"], 1, IMAGE_LINE),
@@ -310,6 +312,9 @@ OVERFLOWING_SUMS = {
     "martingale-test-y100-b100": (["martingale-test", "--y", "100", "--exponent-a", "0",
                                    "--exponent-b", "100", "--samples", "200", "--steps", "10",
                                    "--workers", "1"], 1, CHECKPOINT_LINE),
+    "martingale-test-y100-b155": (["martingale-test", "--y", "100", "--exponent-a", "0",
+                                   "--exponent-b", "155", "--samples", "200", "--steps", "10",
+                                   "--workers", "1"], 1, F0_LINE),
 }
 
 
@@ -737,6 +742,23 @@ def test_each_subcommand_has_its_table_keys_as_flags():
         expected = {"--" + key for key in KEYS[name].split()}
         assert flags == expected | {"--config", "--out", "--workers"}, name
         assert list(revsle.cli._COMMANDS[name][1]) == KEYS[name].split()
+
+
+def test_each_key_default_is_none_or_of_its_key_type():
+    for name, (_, keys) in revsle.cli._COMMANDS.items():
+        for key, spec in keys.items():
+            kind = list if spec.type is revsle.cli._point else spec.type
+            assert spec.default is None or type(spec.default) is kind, (name, key, spec)
+
+
+def test_exponents_default_kappa_digests_as_its_flag(tmp_path, capsys):
+    # the digest of the default run, pinned when the default was the float 4.0
+    assert run(tmp_path / "default", "exponents") == 0
+    assert run(tmp_path / "flag", "exponents", "--kappa", "4") == 0
+    for source in ("default", "flag"):
+        d = only_run_dir(tmp_path / source, "exponents-")
+        assert json.loads((d / "manifest.json").read_text())["config_digest"] == (
+            "28353261541162b7aad54156b0a4dad0c3ba4c1a35e76f530fa609d8b0fc82f6")
 
 
 def test_parser_is_built_once_per_process():

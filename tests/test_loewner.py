@@ -65,7 +65,8 @@ def negate_where_broken(u, re_hint):
 
 def assert_same_bits(a, b):
     assert a.shape == b.shape and a.dtype == b.dtype == np.complex128
-    assert np.array_equal(np.atleast_1d(a).view(np.uint64), np.atleast_1d(b).view(np.uint64))
+    bits_a, bits_b = (np.ascontiguousarray(np.atleast_1d(x)).view(np.uint64) for x in (a, b))
+    assert np.array_equal(bits_a, bits_b)
 
 
 def complex_grid(values):
@@ -82,32 +83,62 @@ SPECIAL = [0.0, -0.0, 1e-310, -1e-310, 1.0, -1.0, 2.5, -2.5, 1e308, -1e308,
 
 
 @pytest.mark.parametrize("hint", [1.0, -1.0, 0.0, -0.0])
-def test_slit_sqrt_bits_equal_the_negation_rule_on_special_values(hint):
+def test_slit_sqrt_bits_equal_the_negation_rule_on_special_values(hint, written_out_root):
+    """Ties, zeros, subnormal and huge moduli, infs and NaNs keep the
+    negation rule's bits; the grid's other elements (such as 1 + 2.5i)
+    take the half-angle formula."""
     u = complex_grid(SPECIAL)
     hints = np.full(u.size, hint)
     with np.errstate(all="ignore"):
-        assert_same_bits(slit_sqrt_vec(u, hints), negate_where_broken(u, hints))
-        # a call without any real-axis tie takes the in-place passes
+        kept = ~((u.imag != 0.0) & (np.abs(u) >= 2.0 ** -1000) & (np.abs(u) <= 2.0 ** 1000))
+        assert np.count_nonzero(kept) > 150
+        assert_same_bits(written_out_root(u, hints)[kept], negate_where_broken(u, hints)[kept])
+        assert_same_bits(slit_sqrt_vec(u, hints), written_out_root(u, hints))
+        # a call without any real-axis tie
         off_axis = u[np.sqrt(u).imag != 0.0]
         assert_same_bits(slit_sqrt_vec(off_axis, hints[:off_axis.size]),
-                         negate_where_broken(off_axis, hints[:off_axis.size]))
+                         written_out_root(off_axis, hints[:off_axis.size]))
 
 
-def test_slit_sqrt_bits_equal_the_negation_rule_on_random_values():
+def test_slit_sqrt_bits_equal_the_negation_rule_on_random_values(written_out_root):
+    """The exact reals among random values keep the negation rule's bits
+    (ties, a seventh of them); the rest take the half-angle formula."""
     rng = np.random.default_rng(17)
     n = 100_000
     u = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, n) + 1j * rng.normal(size=n)
     u[::7] = u[::7].real                  # 1 in 7 exactly real
     hints = rng.normal(size=n)
     hints[::5] = 0.0
-    assert_same_bits(slit_sqrt_vec(u, hints), negate_where_broken(u, hints))
-    off = u[1::7]                         # no ties: the in-place passes
-    assert_same_bits(slit_sqrt_vec(off, hints[1::7]), negate_where_broken(off, hints[1::7]))
+    got = slit_sqrt_vec(u, hints)
+    assert_same_bits(got[::7], negate_where_broken(u[::7], hints[::7]))
+    assert_same_bits(got, written_out_root(u, hints))
+    off = u[1::7]                         # no ties
+    assert_same_bits(slit_sqrt_vec(off, hints[1::7]), written_out_root(off, hints[1::7]))
     # a (span, points) block with a 2-D hint, as the ensemble legs pass it
     block, block_hints = u[:6000].reshape(2000, 3), hints[:6000].reshape(2000, 3)
-    assert_same_bits(slit_sqrt_vec(block, block_hints), negate_where_broken(block, block_hints))
+    assert_same_bits(slit_sqrt_vec(block, block_hints), written_out_root(block, block_hints))
     v = rng.normal(size=(2000, 12)) + 1j * rng.uniform(0.1, 2.0, (2000, 12))
-    assert_same_bits(slit_sqrt_vec(v * v - 0.004, v.real), negate_where_broken(v * v - 0.004, v.real))
+    assert_same_bits(slit_sqrt_vec(v * v - 0.004, v.real), written_out_root(v * v - 0.004, v.real))
+
+
+def test_slit_sqrt_off_axis_bits_equal_the_half_angle_formula(written_out_root):
+    """Off the real axis, over moduli from 1e-300 to 1e300, at every angle
+    (Re u = +-0 and |Im u| << |Re u| included), every element takes the
+    formula, in any layout."""
+    rng = np.random.default_rng(23)
+    n = 20_000
+    modulus = 10.0 ** rng.uniform(-300, 300, n)
+    angle = rng.uniform(-math.pi, math.pi, n)
+    angle[:200] = rng.choice([1e-12, -1e-12, math.pi - 1e-12, 1e-12 - math.pi], 200)
+    u = modulus * np.exp(1j * angle)
+    u[200:300] = u[200:300].imag * 1j             # Re u = +0
+    u[300:400] = complex(-0.0, 1.0) * u[300:400].imag
+    assert np.all(u.imag != 0.0)
+    hints = rng.normal(size=n)
+    want = written_out_root(u, hints)
+    assert_same_bits(slit_sqrt_vec(u, hints), want)
+    assert_same_bits(slit_sqrt_vec(u[::3], hints[::3]), want[::3])
+    assert_same_bits(slit_sqrt_vec(u.reshape(-1, 8), hints.reshape(-1, 8)), want.reshape(-1, 8))
 
 
 @pytest.mark.parametrize("u", [4.0 + 0j, complex(4.0, -0.0), -4.0 + 0j, 1.0 - 2.0j, 0j])
@@ -146,6 +177,64 @@ def test_slit_sqrt_vec_matches_mpmath():
     with mpmath.workdps(50):
         ref = np.array([complex(mp_slit_root(mpmath.mpc(a), h)) for a, h in zip(u, hints)])
     assert np.all(np.abs(vec - ref) <= 4e-16 * np.abs(ref))
+
+
+def ulps(x, ref):
+    """|x - ref| in units of the last place of ref, per component."""
+    return np.abs(x - ref) / np.spacing(np.abs(ref))
+
+
+def test_slit_sqrt_is_within_2_ulp_of_mpmath_over_the_range():
+    rng = np.random.default_rng(29)
+    n = 600
+    modulus = 10.0 ** rng.uniform(-300, 300, n)
+    angle = rng.uniform(-math.pi, math.pi, n)
+    angle[:60] *= 1e-9                  # |Im u| << Re u
+    angle[60:120] = np.copysign(math.pi, angle[60:120]) - angle[60:120] * 1e-9   # and << -Re u
+    u = modulus * np.exp(1j * angle)
+    got = slit_sqrt_vec(u, np.ones(n))
+    with mpmath.workdps(50):
+        ref = np.array([complex(mp_slit_root(mpmath.mpc(a), 1.0)) for a in u])
+    assert np.max(ulps(got.real, ref.real)) <= 2.0
+    assert np.max(ulps(got.imag, ref.imag)) <= 2.0
+
+
+def test_slit_sqrt_bits_do_not_depend_on_the_call():
+    """An element's root is the same alone, in reverse order, in any block
+    shape and beside ties, zeros, subnormal, huge and non-finite values."""
+    rng = np.random.default_rng(31)
+    m = 40
+    u = rng.normal(size=12 * m) * 10.0 ** rng.integers(-3, 3, 12 * m) + 1j * rng.normal(size=12 * m)
+    u[::5] = u[::5].real                      # ties of both signs
+    u[1::37] = 0.0
+    u[2::41] = complex(1e-310, -3e-320)
+    u[3::43] = complex(1e308, -1e308)
+    u[4::47] = complex(math.inf, 1.0)
+    u[6::53] = complex(math.nan, 0.0)
+    hints = rng.normal(size=12 * m)
+    with np.errstate(all="ignore"):
+        whole = slit_sqrt_vec(u, hints)
+        alone = np.empty_like(u)
+        for i in reversed(range(u.size)):
+            alone[i] = slit_sqrt_vec(u[i:i + 1], hints[i:i + 1])[0]
+        assert_same_bits(alone, whole)
+        for i in range(0, u.size, 7):   # 0-d points with scalar hints
+            assert_same_bits(slit_sqrt_vec(np.array(u[i]), hints[i]), np.array(whole[i]))
+        for width in (3, 12):
+            block = slit_sqrt_vec(u.reshape(-1, width), hints.reshape(-1, width))
+            assert_same_bits(block.ravel(), whole)
+        assert_same_bits(slit_sqrt_vec(u[::-1], hints[::-1]), whole[::-1])
+        assert_same_bits(slit_sqrt_vec(u[5:], hints[5:]), whole[5:])
+
+
+def test_slit_sqrt_raises_no_warning_on_finite_input():
+    # the suite turns every RuntimeWarning into an error
+    values = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.0 ** -1000, 1e-300, 1.0, -2.5,
+              1e300, 2.0 ** 1000, 1e308, -1.7976931348623157e308]
+    u = complex_grid(values)
+    for hint in (1.0, -1.0, 0.0):
+        s = slit_sqrt_vec(u, np.full(u.size, hint))
+        assert np.all(np.isfinite(s)) and np.all(s.imag >= 0.0)
 
 
 # --- zero-driving closed forms: g(z) = sqrt(z^2 +- 4t) -----------------------

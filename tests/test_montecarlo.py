@@ -424,18 +424,18 @@ def test_composed_counts_nan_image_as_violation(nan_in_sample_1):
 
 # --- the slit-step loop ------------------------------------------------------------
 
-def listed_flow(w, rows, c, alive=None):
+def listed_flow(w, rows, c, root, alive=None):
     """The flow loop written out with a fresh array per operation and the
-    sign rule as one expression: negate numpy's principal root where Im < 0,
-    or where Im = +-0 and Re(w - x) < 0."""
+    slit root ``root`` written out as well (the ``written_out_root``
+    fixture): the half-angle formula off the real axis, and on it numpy's
+    principal root negated where Im < 0, or where Im = +-0 and
+    Re(w - x) < 0."""
     for x in rows:
         x = x[:, None]
         v = w - x
         if alive is not None and c > 0.0:
             alive &= ~swallowed(v, c)
-        s = np.sqrt(v * v + c)
-        s = np.where((s.imag < 0.0) | ((s.imag == 0.0) & (v.real < 0.0)), -s, s)
-        step = x + s
+        step = x + root(v * v + c, v.real)
         w = step if alive is None else np.where(alive, step, w)
     return w
 
@@ -445,7 +445,7 @@ def same_bits(a, b):
 
 
 @pytest.mark.parametrize("leg", ["backward", "forward", "masked forward"])
-def test_flow_bits_equal_the_listed_loop(leg):
+def test_flow_bits_equal_the_listed_loop(leg, written_out_root):
     n_steps, dt = 200, 1.0 / 200
     xi = _xi_block(11, 0, 300, 4.0, dt, n_steps)
     # sample 0 has zero driving, so its point 0 on the imaginary axis sits on
@@ -460,13 +460,13 @@ def test_flow_bits_equal_the_listed_loop(leg):
     if leg == "masked forward":
         alive, listed_alive = np.ones(w.shape, bool), np.ones(w.shape, bool)
         # the forward leg up to step 10 leaves point 0 of sample 0 alive
-        listed_flow(w, rows[:10], c, listed_alive)
+        listed_flow(w, rows[:10], c, written_out_root, listed_alive)
         assert listed_alive[0, 0]
         listed_alive[:] = True
     else:
         alive = listed_alive = None
     got = revsle.montecarlo._flow(w, rows, c, alive)
-    want = listed_flow(w, rows, c, listed_alive)
+    want = listed_flow(w, rows, c, written_out_root, listed_alive)
     assert same_bits(got, want)
     assert same_bits(w, kept)             # the caller's points are not written
     assert got is not w
