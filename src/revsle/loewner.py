@@ -22,8 +22,8 @@ infinity (the real part of the root carries the sign of Re(w - xi)).
 :func:`slit_sqrt_vec` computes that root in numpy vector passes with
 glibc csqrt's half-angle formula, t = sqrt(0.5*(|u| + |Re u|)) and
 q = 0.5*(|Im u| / t), whose components keep full relative accuracy, also
-when |Im u| << |Re u|; |u| is numpy's SIMD complex modulus, a few ns per
-element where libm's csqrt costs some 30.  A root on the real axis is a tie
+when |Im u| << |Re u|; |u| is numpy's SIMD complex modulus, a vector pass
+in place of one libm csqrt call per element.  A root on the real axis is a tie
 that only the hint breaks; such ties, zeros, moduli near underflow or
 overflow, infs and NaNs take numpy's principal root instead, negated where
 it breaks either condition.  Each element is selected by its own value, so
@@ -84,8 +84,8 @@ __all__ = [
 EPS_SWALLOW = 1e-12
 
 # Moduli for which slit_sqrt_vec takes the half-angle formula, and its
-# constants; as 0-d arrays, since numpy 2 spends some 0.4 us per ufunc call
-# on a Python float operand
+# constants; as 0-d arrays, since numpy 2 promotes a Python float operand
+# anew on every ufunc call, a fixed cost the short calls of trace feel
 _HALF_ANGLE_MIN = np.array(2.0 ** -1000)
 _HALF_ANGLE_MAX = np.array(2.0 ** 1000)
 _HALF = np.array(0.5)
@@ -122,10 +122,10 @@ def slit_sqrt_vec(u: np.ndarray, re_hint: np.ndarray) -> np.ndarray:
     half-angle formula, in csqrt's operation order:
     t = sqrt(0.5*(d + |Re u|)) and q = 0.5*(|Im u| / t), and the root is
     (sign(Im u) t, q) when Re u > 0, else (sign(Im u) q, t).  d is numpy's
-    complex modulus, not libm's hypot: a SIMD pass of a few ns per element,
-    where csqrt costs some 30, whose bits do not depend on the array's
-    length or layout (a negatively strided u is read through a contiguous
-    copy, as numpy takes hypot there).  It may differ from hypot in the
+    complex modulus, not libm's hypot: a SIMD pass, far cheaper than a
+    csqrt call per element, whose bits do not depend on the array's length
+    or layout (a negatively strided u is read through a contiguous copy,
+    as numpy takes hypot there).  It may differ from hypot in the
     last bit, and so may the root.  Below 2^-1000 the modulus is inexact
     for subnormal d, and above 2^1000 d + |Re u| nears overflow.  A tie on
     the negative half-axis takes the formula too, as there d = |Re u|
