@@ -38,7 +38,6 @@ import dataclasses
 import functools
 import hashlib
 import json
-import math
 import os
 import platform
 import sys
@@ -228,8 +227,6 @@ def _martingale(cfg, workers):
     if report.n_nonfinite:
         print(f"martingale-test: {report.n_nonfinite} samples with a non-finite "
               f"driving value", file=sys.stderr)
-    elif not math.isfinite(report.f0):
-        print(f"martingale-test: F_0 = y^b overflows at y={mc.y}, b={mc.b}", file=sys.stderr)
     elif overflowed:
         print(f"martingale-test: {overflowed} checkpoints with a non-finite mean or "
               f"standard error", file=sys.stderr)
@@ -342,21 +339,16 @@ def _file_value(key: str, spec: _Key, value):
     string key takes the value as it is."""
     if spec.type is str or (value is None and spec.default is None):
         return value
-    if spec.type is _point:
-        try:
-            return _point(value)
-        except (TypeError, ValueError, OverflowError):
-            raise SystemExit(f"config key {key!r} must be a string RE,IM or a list "
-                             f"of numbers, got {value!r}") from None
     try:
         parsed = spec.type(value)
     except (TypeError, ValueError, OverflowError):
         same = False
-    else:
-        same = parsed == value or (parsed != parsed and value != value)   # NaN stays NaN
+    else:   # a point's two spellings parse alike; NaN stays NaN
+        same = spec.type is _point or parsed == value or (parsed != parsed and value != value)
     if not same or isinstance(value, bool) != (spec.type is bool):
-        raise SystemExit(f"config key {key!r} must be of type {spec.type.__name__}, "
-                         f"got {value!r}")
+        kind = ("a string RE,IM or a list of numbers" if spec.type is _point
+                else f"of type {spec.type.__name__}")
+        raise SystemExit(f"config key {key!r} must be {kind}, got {value!r}")
     return parsed
 
 

@@ -111,10 +111,10 @@ class BranchViolationError(Exception):
 
 
 def slit_sqrt_vec(u: np.ndarray, re_hint: np.ndarray) -> np.ndarray:
-    """Elementwise square root of u with Im >= 0 (complex128 arrays); for
-    real u >= 0 the sign of the real part follows ``re_hint`` (the sign of
-    Re(w - xi), identity at infinity), an array of u's shape or a scalar.
-    Returns a new array.
+    """Elementwise square root of u with Im >= 0 (a complex128 array of at
+    least one dimension); for real u >= 0 the sign of the real part follows
+    ``re_hint`` (the sign of Re(w - xi), identity at infinity), an array of
+    u's shape.  Returns a new array.
 
     When Im(u) != 0 there is exactly one root with positive imaginary part,
     so the hint only breaks the tie on the real axis.  An element with
@@ -139,8 +139,6 @@ def slit_sqrt_vec(u: np.ndarray, re_hint: np.ndarray) -> np.ndarray:
     only on its own u and hint, never on the rest of the call; a call whose
     elements all take the formula only skips the masks.
     """
-    if u.ndim == 0:   # ufuncs give scalars, not arrays, for 0-d operands
-        return slit_sqrt_vec(u.reshape(1), re_hint).reshape(())
     re, im = u.real, u.imag
     d = np.abs(np.ascontiguousarray(u))   # a negative stride would take libm's hypot
     ok = (d >= _HALF_ANGLE_MIN) & (d <= _HALF_ANGLE_MAX)
@@ -161,9 +159,8 @@ def slit_sqrt_vec(u: np.ndarray, re_hint: np.ndarray) -> np.ndarray:
     if not all_ok:
         bad = ~ok
         p = np.sqrt(u[bad])
-        hint = re_hint[bad] if np.ndim(re_hint) else re_hint
         pi = p.imag
-        np.negative(p, out=p, where=(pi < _ZERO) | ((pi == _ZERO) & (hint < _ZERO)))
+        np.negative(p, out=p, where=(pi < _ZERO) | ((pi == _ZERO) & (re_hint[bad] < _ZERO)))
         s[bad] = p
     return s
 
@@ -298,24 +295,15 @@ def invert_map(evo: LoewnerEvolution, w):
 def trace(evo: LoewnerEvolution) -> np.ndarray:
     """Curve tip samples gamma_k = g_k^{-1}(xi_k) for a forward evolution
     (zipper evaluation): the inverse of step j, for j from last to first,
-    moves every tip k > j.  Unresolved tips are reported as nan+nan*1j.
-
-    Each step is :func:`_slit_step` written out on the tail of two buffers
-    made once, the offsets v and the discriminant u, and writes its image
-    into w in place, with the same bits."""
+    moves every tip k > j, by :func:`_slit_step` with c = -4dt.  Unresolved
+    tips are reported as nan+nan*1j."""
     if evo.direction != "forward":
         raise ValueError("trace is defined for forward evolutions")
     vals = evo.driving_values
     w = vals.astype(np.complex128)
-    v, u = np.empty_like(w), np.empty_like(w)
-    c = -4.0 * evo.dt
     with np.errstate(invalid="ignore", over="ignore"):   # a tip off the floats is NaN below
         for j in range(evo.n_steps - 1, -1, -1):
-            x, tail, vj, uj = vals[j], w[j + 1:], v[j + 1:], u[j + 1:]
-            np.subtract(tail, x, out=vj)
-            np.multiply(vj, vj, out=uj)
-            uj += c
-            np.add(slit_sqrt_vec(uj, vj.real), x, out=tail)
+            w[j + 1:] = _slit_step(w[j + 1:], vals[j], -4.0 * evo.dt)[0]
     w[~np.isfinite(w)] = complex(math.nan, math.nan)
     return w
 

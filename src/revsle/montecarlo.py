@@ -83,7 +83,10 @@ Z_THRESHOLD = 3.0   # per-checkpoint |z| limit for the verdict
 @dataclass(frozen=True)
 class McConfig:
     """Martingale-test configuration: the product (g'(y))^a (g(y) - xi)^b at
-    one point y, checked at five evenly spaced grid times up to the horizon."""
+    one point y, checked at grid steps s, 2s, ..., 5s with
+    s = max(1, n_steps // 5), and at n_steps too when 5s falls short of it:
+    six checkpoints when n_steps % 5 != 0 and n_steps > 5 (at n_steps = 12,
+    steps 2, 4, 6, 8, 10 and 12), every step when n_steps <= 5."""
 
     kappa: float
     horizon: float
@@ -191,15 +194,23 @@ def _run_batched(task: Callable, n_samples: int, workers: int) -> tuple:
 
 def _check_one_point(y: float, a: float, b: float, eps_stop: float) -> None:
     """Reject inputs the one-point walk cannot fail closed on: a non-finite
-    y, a, b or eps_stop (b = -inf makes every value and F_0 zero, a NaN
-    eps_stop stops every sample or none), or not 0 <= eps_stop < y.  Here
-    y is the point's distance right of the driving's start."""
+    y, a, b or eps_stop (a NaN eps_stop stops every sample or none), not
+    0 <= eps_stop < y, or an F_0 = y^b that is not a positive normal float
+    (one that underflows makes every frozen value zero with it, a silent
+    pass; one past the floats no mean can match).  Here y is the point's
+    distance right of the driving's start."""
     for name, v in (("y", y), ("a", a), ("b", b), ("eps_stop", eps_stop)):
         if not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v}")
     if not 0.0 <= eps_stop < y:
         raise ValueError(f"need 0 <= eps_stop < y: the point starts right of the seed, "
                          f"outside the stopping band; got y={y}, eps_stop={eps_stop}")
+    try:
+        normal = float(y ** b) >= 2.0 ** -1022   # the least positive normal float
+    except OverflowError:
+        normal = False
+    if not normal:
+        raise ValueError(f"F_0 = y^b must be a positive normal float, got y={y}, b={b}")
 
 
 def _one_point_walk(xi: np.ndarray, four_dt: float, y: float, a: float, b: float,
@@ -359,16 +370,14 @@ def run_martingale_test(config: McConfig, workers: int = 1) -> McReport:
     """Backward-flow ensemble test that E[M_t] stays at M_0.
 
     Per checkpoint: mean, standard error, and z = (mean - F_0)/stderr over
-    all samples (stopped samples contribute their frozen value).  Verdict is
-    True when F_0 = y^b, every mean and standard error and every driving
-    value is finite and every |z| <= 3.
+    all samples (stopped samples contribute their frozen value), with
+    F_0 = y^b a positive normal float (the config checks it).  Verdict is
+    True when every mean and standard error and every driving value is
+    finite and every |z| <= 3.
     """
     check_idx = config.checkpoint_indices()
     dt = config.horizon / config.n_steps
-    try:
-        f0 = config.y ** config.b
-    except OverflowError:   # y^b past the floats: no mean can match it, the verdict fails
-        f0 = math.inf
+    f0 = config.y ** config.b
 
     def batch(lo: int, hi: int):
         xi = _xi_block(config.master_seed, lo, hi, config.kappa, dt, config.n_steps)
@@ -401,7 +410,7 @@ def run_martingale_test(config: McConfig, workers: int = 1) -> McReport:
     return McReport(config.kappa, config.horizon, config.n_steps, n,
                     config.master_seed, config.eps_stop, float(f0),
                     tuple(checkpoints), n_nonfinite,
-                    all_ok and n_nonfinite == 0 and math.isfinite(f0))
+                    all_ok and n_nonfinite == 0)
 
 
 @dataclass(frozen=True)

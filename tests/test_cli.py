@@ -293,14 +293,12 @@ def test_overflowing_config_fails_with_its_own_line(sub, tmp_path, capsys):
 # 2 steps every sample freezes at step 0 and the run passes.  And 100^154 is
 # finite while the sum of 200 such values is not; 100^100 sums, but its
 # squared deviations do not, and an infinite standard error gives z = 0.
-# 100^155 is past the floats, so F_0 itself overflows and fails the verdict.
 # Each run ends with its verdict and at most one stderr line of its own: no
 # usage error, traceback or numpy warning (which the suite's warning filter
 # would raise).
 HUGE = ["--kappa", "1e308", "--horizon", "1", "--samples", "200", "--workers", "1"]
 CHECKPOINT_LINE = r"martingale-test: \d+ checkpoints with a non-finite mean or standard error"
 IMAGE_LINE = r"composed: \d+ images non-finite or below the real axis"
-F0_LINE = r"martingale-test: F_0 = y\^b overflows at y=100\.0, b=155\.0"
 OVERFLOWING_SUMS = {
     "composed-2": (["composed", *HUGE, "--steps", "2"], 1, IMAGE_LINE),
     "composed-50": (["composed", *HUGE, "--steps", "50"], 1, IMAGE_LINE),
@@ -312,9 +310,6 @@ OVERFLOWING_SUMS = {
     "martingale-test-y100-b100": (["martingale-test", "--y", "100", "--exponent-a", "0",
                                    "--exponent-b", "100", "--samples", "200", "--steps", "10",
                                    "--workers", "1"], 1, CHECKPOINT_LINE),
-    "martingale-test-y100-b155": (["martingale-test", "--y", "100", "--exponent-a", "0",
-                                   "--exponent-b", "155", "--samples", "200", "--steps", "10",
-                                   "--workers", "1"], 1, F0_LINE),
 }
 
 
@@ -547,6 +542,14 @@ USAGE_ERRORS = {
     "martingale-test-exponent-b-neg-inf": ["martingale-test", "--samples", "200",
                                            "--steps", "20", "--horizon", "0.01", "--y", "2",
                                            "--exponent-a", "0", "--exponent-b=-inf"],
+    # F_0 = y^b must be a positive normal float: 100^155 is past the floats,
+    # and 0.01^200 underflows to 0 with every frozen value (a silent pass)
+    "martingale-test-y100-b155": ["martingale-test", "--y", "100", "--exponent-a", "0",
+                                  "--exponent-b", "155", "--samples", "200", "--steps", "10",
+                                  "--workers", "1"],
+    "martingale-test-y0.01-b200": ["martingale-test", "--y", "0.01", "--exponent-a", "0",
+                                   "--exponent-b", "200", "--samples", "200", "--steps", "10",
+                                   "--workers", "1"],
     "martingale-test-y-inf": ["martingale-test", "--samples", "200", "--steps", "5",
                               "--y", "inf"],
     "martingale-test-y-nan": ["martingale-test", "--samples", "200", "--steps", "5",

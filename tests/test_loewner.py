@@ -141,14 +141,6 @@ def test_slit_sqrt_off_axis_bits_equal_the_half_angle_formula(written_out_root):
     assert_same_bits(slit_sqrt_vec(u.reshape(-1, 8), hints.reshape(-1, 8)), want.reshape(-1, 8))
 
 
-@pytest.mark.parametrize("u", [4.0 + 0j, complex(4.0, -0.0), -4.0 + 0j, 1.0 - 2.0j, 0j])
-@pytest.mark.parametrize("hint", [1.0, -1.0])
-def test_slit_sqrt_takes_a_0d_point_with_a_scalar_hint(u, hint):
-    out = slit_sqrt_vec(np.array(u), hint)
-    assert isinstance(out, np.ndarray) and out.ndim == 0
-    assert_same_bits(out, negate_where_broken(np.array(u), hint))
-
-
 def test_slit_sqrt_returns_a_new_array():
     u = np.array([1.0 + 1j, 2.0 - 1j])
     kept = u.copy()
@@ -218,8 +210,6 @@ def test_slit_sqrt_bits_do_not_depend_on_the_call():
         for i in reversed(range(u.size)):
             alone[i] = slit_sqrt_vec(u[i:i + 1], hints[i:i + 1])[0]
         assert_same_bits(alone, whole)
-        for i in range(0, u.size, 7):   # 0-d points with scalar hints
-            assert_same_bits(slit_sqrt_vec(np.array(u[i]), hints[i]), np.array(whole[i]))
         for width in (3, 12):
             block = slit_sqrt_vec(u.reshape(-1, width), hints.reshape(-1, width))
             assert_same_bits(block.ravel(), whole)
@@ -443,6 +433,19 @@ def test_trace_simple_curve_regime_statistics():
     assert np.all(gamma.imag >= 0.0)
     assert np.mean(gamma[1:].imag > 0.0) > 0.6
     assert np.mean(gamma[-60:].imag) > np.mean(gamma[1:61].imag)
+
+
+@pytest.mark.parametrize("kappa", [2.0, 8.0 / 3.0, 4.0, 6.0, 8.0],
+                         ids=["2", "8/3", "4", "6", "8"])
+def test_trace_tips_equal_the_inverse_map_bit_for_bit(kappa):
+    # tip k is the image of xi_k under the inverse of the first k steps
+    for seed in (0, 1):
+        path = sample_brownian(TimeGrid(1.0, 80), kappa, seed)
+        gamma = trace(evolve_forward(path))
+        vals, dt = path.values, path.grid.dt
+        tips = [invert_map(LoewnerEvolution("forward", vals[:k + 1], dt), vals[k])
+                for k in range(len(vals))]
+        assert_same_bits(gamma, np.array(tips))
 
 
 def test_trace_requires_forward():

@@ -45,13 +45,19 @@ def test_config_validation():
             McConfig(kappa=4.0, horizon=0.05, n_steps=10, n_samples=100,
                      master_seed=0, **DRIFT_FREE, eps_stop=eps_stop)
     # the engine runs one point with an (a, b) pair, all finite
+    # and F_0 = y^b a positive normal float: not past the floats, not
+    # subnormal, not zero
     for y, a, b in ((math.inf, 0.0, 1.0), (math.nan, 0.0, 1.0),
-                    (2.0, math.nan, 1.0), (2.0, 0.0, -math.inf)):
+                    (2.0, math.nan, 1.0), (2.0, 0.0, -math.inf), (100.0, 0.0, 155.0),
+                    (2.0, 0.0, -1023.0), (0.01, 0.0, 200.0)):
         with pytest.raises(ValueError):
             McConfig(kappa=4.0, horizon=0.05, n_steps=10, n_samples=100,
                      master_seed=0, **one_point(y, a, b))
     McConfig(kappa=4.0, horizon=0.05, n_steps=10, n_samples=100,
              master_seed=0, **DRIFT_FREE, eps_stop=0.0)   # no stopping band
+    for b in (-1022.0, 1023.0):   # F_0 the least and the greatest normal powers of 2
+        McConfig(kappa=4.0, horizon=0.05, n_steps=10, n_samples=100,
+                 master_seed=0, **one_point(2.0, 0.0, b))
 
 
 def test_default_checkpoints_end_at_horizon():
@@ -60,6 +66,18 @@ def test_default_checkpoints_end_at_horizon():
     idx = cfg.checkpoint_indices()
     assert len(idx) == 5
     assert idx[-1] == 100
+
+
+@pytest.mark.parametrize("n_steps,indices", [
+    (3, [1, 2, 3]),                           # every step
+    (7, [1, 2, 3, 4, 5, 7]),                  # five strides, then the last step
+    (12, [2, 4, 6, 8, 10, 12]),
+    (500, [100, 200, 300, 400, 500]),
+], ids=["3", "7", "12", "500"])
+def test_checkpoints_are_five_strides_and_the_last_step(n_steps, indices):
+    cfg = McConfig(kappa=4.0, horizon=0.05, n_steps=n_steps, n_samples=100,
+                   master_seed=0, **DRIFT_FREE)
+    assert cfg.checkpoint_indices() == indices
 
 
 def test_engine_imports_only_driving_and_loewner():
