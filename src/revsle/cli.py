@@ -18,7 +18,8 @@ one line of its own on stderr: a value of the ``driving`` path, a point of
 ``trace`` or ``radial``, a driving value or else a checkpoint mean or
 standard error of ``martingale-test``, an error of ``inverse-check``, an
 image of ``composed`` (which also fails, and prints, on an image below the
-real axis).  A sum that overflows is such a non-finite value.
+real axis), a number of the ``exponents`` report.  A sum that overflows is
+such a non-finite value.
 
 ``driving`` writes the sampled driving path alone; ``trace`` and ``radial``
 run a flow on the same path.
@@ -68,15 +69,11 @@ class _Key(NamedTuple):
     help: Optional[str] = None
 
 
-def _fields(obj) -> dict:
-    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-
-
 def _jsonable(obj):
-    """json's default= hook: a dataclass is the dict of its fields, a complex
-    number the pair [re, im]."""
+    """json's default= hook: a dataclass is the dict of its fields (its
+    ``vars``: none is slotted), a complex number the pair [re, im]."""
     if dataclasses.is_dataclass(obj):
-        return _fields(obj)
+        return vars(obj)
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
@@ -200,7 +197,10 @@ def _virasoro_check(cfg, workers):
 
 
 def _exponents(cfg, workers):
-    kappa = float(_fraction(str(cfg["kappa"])))
+    try:
+        kappa = float(_fraction(str(cfg["kappa"])))
+    except OverflowError:
+        raise ValueError(f"kappa {cfg['kappa']} is past the floats") from None
     audit = audit_one_point_exponents(kappa)
     # an unset h is the (1,3) weight at b^2 = kappa/4, the audit's derived a
     h = audit.derived[0].a if cfg["h"] is None else cfg["h"]
@@ -214,8 +214,12 @@ def _exponents(cfg, workers):
         "proposed_pair_ok": audit.proposed.satisfies,
         "derived_pairs": audit.derived,
     }
+    # a residual is finite only where its pair is; the proposed pair enters
+    # the report through its verdict alone
+    residuals = [pair.residual for pair in (audit.proposed, *audit.derived)]
+    code = _finite_code([*roots[:2], *residuals], "exponents: non-finite value in the report")
     text = json.dumps(payload, indent=2, default=_jsonable)
-    return {"report.json": _json_bytes(payload)}, 0, text
+    return {"report.json": _json_bytes(payload)}, code, text
 
 
 def _martingale(cfg, workers):
@@ -243,15 +247,15 @@ def _inverse_check(cfg, workers):
     report = run_inverse_consistency(cfg["kappa"], cfg["horizon"], cfg["steps"],
                                      cfg["samples"], master_seed=cfg["seed"],
                                      workers=workers)
-    fields = _fields(report)
+    fields = dict(vars(report))
     errors = fields.pop("sample_errors")
     files = {"samples.csv": _csv("sample,max_error", enumerate(errors)),
              "report.json": _json_bytes(fields)}
     text = (f"max_error={report.max_error:.6g} mean_error={report.mean_error:.6g} "
             f"bound={report.bound:.6g} -> {'pass' if report.passed else 'FAIL'}")
-    if not np.isfinite(report.max_error):   # which fails the verdict
-        print("inverse-check: non-finite error in the ensemble", file=sys.stderr)
-    return files, 0 if report.passed else 1, text
+    # a non-finite error also fails the verdict
+    code = _finite_code(report.max_error, "inverse-check: non-finite error in the ensemble")
+    return files, code or int(not report.passed), text
 
 
 def _composed(cfg, workers):

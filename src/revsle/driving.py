@@ -28,12 +28,12 @@ exactly with sqrt(kappa)).  numpy's NEP 19 does not promise Generator
 streams across numpy versions, so the CLI records numpy's version in each
 manifest.
 
-Each thread keeps one Philox generator, one Generator on top of it and one
-state dict.  A call re-keys the generator by setting only that dict's key
-and counter words and assigning it, buffer empty.  This yields the same
-normals as a fresh ``Generator(Philox(key=..., counter=...))``, whose
-construction also draws a SeedSequence from OS entropy and costs more than
-the normals themselves, and it leaves no state from one call to the next.
+Each thread keeps one Generator on a Philox generator.  A call re-keys it
+by assigning a fresh state dict, buffer empty, with the key and counter
+words.  This yields the same normals as a fresh
+``Generator(Philox(key=..., counter=...))``, whose construction also draws
+a SeedSequence from OS entropy and costs more than the normals themselves,
+and it leaves no state from one call to the next.
 """
 
 from __future__ import annotations
@@ -49,8 +49,7 @@ __all__ = ["TimeGrid", "DrivingPath", "sample_brownian", "explicit_path", "raw_n
 
 _KEY_MOD = 1 << 128  # Philox key width
 _WORD = (1 << 64) - 1
-# .bits: this thread's re-keyable Philox; .gen: the Generator on it; .state:
-# its state dict
+# .gen: this thread's re-keyable Generator
 _local = threading.local()
 
 
@@ -112,17 +111,11 @@ def raw_normals(seed: int, n: int, index: int = 0, leg: int = 0) -> np.ndarray:
     and leg are counter words, in [0, 2**64)."""
     gen = getattr(_local, "gen", None)
     if gen is None:
-        _local.bits = Philox(0)
-        gen = _local.gen = Generator(_local.bits)
-        _local.state = {"bit_generator": "Philox",
-                        "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
-                        "buffer": [0, 0, 0, 0], "buffer_pos": 4,
-                        "has_uint32": 0, "uinteger": 0}
-    words = _local.state["state"]
+        gen = _local.gen = Generator(Philox(0))
     key = seed % _KEY_MOD
-    words["counter"] = [0, 0, index, leg]
-    words["key"] = [key & _WORD, key >> 64]
-    _local.bits.state = _local.state
+    gen.bit_generator.state = {
+        "bit_generator": "Philox", "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0,
+        "uinteger": 0, "state": {"counter": [0, 0, index, leg], "key": [key & _WORD, key >> 64]}}
     return gen.standard_normal(n)
 
 

@@ -222,50 +222,44 @@ def _one_point_walk(xi: np.ndarray, four_dt: float, y: float, a: float, b: float
     take the next step; at the last step, which no jump follows, its first
     half step) at the steps in ``record``, each of shape (m, len(record)).
     y - xi[0] and the rest must pass :func:`_check_one_point`."""
-    m = xi.shape[1]
     half = 0.5 * four_dt   # 2 dt: four times a half step's capacity
     root_half = math.sqrt(half)
     x2_0 = (float(y) - xi[0]) ** 2
     q_0 = x2_0 - half
-    q = q_0.copy()         # H^2 = X^2 - 2 dt at the current grid step
-    q_prev = np.empty(m)   # at the previous one
-    shift = np.zeros(m)    # q - (q_0 - 4 t): the jumps' share of q
-    h = np.empty(m)
-    p = np.empty(m)
-    u = np.empty(m)
-    alive = np.ones(m, dtype=bool)
-    above = np.empty(m, dtype=bool)
+    # H^2 = X^2 - 2 dt at the current grid step and at the previous one (at
+    # step 0 every sample lies above the band, so nothing reads the latter)
+    q = q_prev = q_0
+    shift = np.zeros_like(q_0)   # q - (q_0 - 4 t): the jumps' share of q
+    alive = np.ones(q_0.shape, dtype=bool)
     # the running sum of log(P / H) and the next step's term; the sum and
     # q of each stopped sample at the step it froze at.  The running arrays
-    # go on for stopped samples (unused, often NaN): copying the few that
+    # go on for stopped samples (unused, often NaN): copying those that
     # stop each step is cheaper than masking every update.
-    log_sum = np.zeros(m)
-    term = np.zeros(m)
-    frozen_sum = np.empty(m)
-    frozen_q = np.empty(m)
+    log_sum = np.zeros_like(q_0)
+    term = 0.0
+    frozen_sum = np.empty_like(q_0)
+    frozen_q = np.empty_like(q_0)
     exponent_at, alive_at = [], []
 
     def freeze(stopped, sums, qs):
-        if stopped.any():
-            idx = np.flatnonzero(stopped)
-            frozen_sum[idx] = sums[idx]
-            frozen_q[idx] = qs[idx]
+        np.copyto(frozen_sum, sums, where=stopped)
+        np.copyto(frozen_q, qs, where=stopped)
 
     # a huge driving overflows the running arrays and the recorded values;
     # the reduction fails such a run
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(xi.shape[0]):
-            np.greater(q, eps_stop * eps_stop - half, out=above)   # X > eps_stop
+            above = q > eps_stop * eps_stop - half   # X > eps_stop
             above &= alive
             freeze(alive ^ above, log_sum, q_prev)
             log_sum += term
-            alive = np.greater(q, 0.0)   # a new array: alive_at keeps it
+            alive = q > 0.0   # a new array: alive_at keeps it
             alive &= above
             if k + 1 < xi.shape[0]:
                 # H: half a step at xi[k]; P: then the jump to xi[k+1]
-                np.sqrt(q, out=h)
-                np.subtract(xi[k], xi[k + 1], out=u)
-                np.add(h, u, out=p)
+                h = np.sqrt(q)
+                u = xi[k] - xi[k + 1]
+                p = h + u
                 alive &= p > root_half   # the second half step is real
             freeze(above ^ alive, log_sum, q)   # no real next step
             if k in record:
@@ -275,16 +269,14 @@ def _one_point_walk(xi: np.ndarray, four_dt: float, y: float, a: float, b: float
                                    + a * sums)
                 alive_at.append(alive)
             if k + 1 < xi.shape[0]:
-                np.divide(u, h, out=term)
-                np.log1p(term, out=term)   # log(P / H)
+                term = np.log1p(u / h)   # log(P / H)
                 # P^2 - 4 dt = q - 4 dt + u (H + P); summing the u (H + P)
                 # apart keeps X^2 free of a rounding per step where u = 0
                 h += p
                 h *= u
                 shift += h
-                np.subtract(q_0, (k + 1) * four_dt, out=q_prev)
-                q_prev += shift
-                q, q_prev = q_prev, q
+                q_prev, q = q, q_0 - (k + 1) * four_dt
+                q += shift
         return np.exp(np.stack(exponent_at, axis=1)), np.stack(alive_at, axis=1)
 
 
@@ -294,11 +286,8 @@ def _flow(w: np.ndarray, rows, c: float, alive: Optional[np.ndarray] = None) -> 
     points it swallows, and retired points keep their value.  The caller's
     w is never written.
 
-    The offsets v and the discriminant u = v*v + c are filled in buffers
-    made once per leg; the fresh root takes x in place and becomes the next
-    w, or, with a mask, is copied into the leg's own w where alive."""
-    v = np.empty_like(w)
-    u = np.empty_like(w)
+    Each step makes fresh arrays; the root takes x in place and becomes the
+    next w, or, with a mask, is copied into the leg's own w where alive."""
     if alive is not None:
         w = w.copy()
     # a non-finite driving value gives NaN or inf points, which the engines
@@ -306,14 +295,13 @@ def _flow(w: np.ndarray, rows, c: float, alive: Optional[np.ndarray] = None) -> 
     with np.errstate(invalid="ignore", over="ignore"):
         for x in rows:
             x = x[:, None]
-            np.subtract(w.real, x, out=v.real)
-            v.imag = w.imag   # x is real: Im(w - x) is Im w, bit for bit
-            np.multiply(v, v, out=u)
-            np.add(u, c, out=u)
+            v = w - x   # x is real: Im(w - x) is Im w, bit for bit
+            u = v * v
+            u += c
             if alive is not None and c > 0.0:
                 alive &= ~swallowed(v, c, u)
             step = slit_sqrt_vec(u, v.real)
-            np.add(x, step, out=step)
+            step += x
             if alive is None:
                 w = step
             else:

@@ -148,9 +148,10 @@ def one_point_exponents(kappa: float, h: float) -> ExponentRoots:
     """Solve h = b - kappa b (b-1)/4, i.e. (kappa/4) b^2 - (1+kappa/4) b + h = 0,
     for the power exponent b of a drift-free one-point observable whose
     derivative exponent is h.  Both roots are returned; complex_roots flags a
-    negative discriminant (roots then form a conjugate pair)."""
-    if not kappa > 0.0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    negative discriminant (roots then form a conjugate pair).  kappa must be
+    positive and finite, and h finite."""
+    if not (0.0 < kappa < math.inf and math.isfinite(h)):
+        raise ValueError(f"need kappa positive and finite, h finite; got {kappa}, {h}")
     qa = 0.25 * kappa
     qb = -(1.0 + 0.25 * kappa)
     disc = qb * qb - 4.0 * qa * h
@@ -193,14 +194,14 @@ def audit_one_point_exponents(kappa: float) -> OnePointExponentAudit:
     """Check the proposed exponent pair a = b = -1 - 8/kappa^2 for the
     one-point observable against the drift-zero condition, alongside the
     reading a = -1 - 8/kappa with b from :func:`one_point_exponents`."""
-    if not kappa > 0.0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    if not 0.0 < kappa < math.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
 
     def check(a: float, b: float) -> PairResidual:
         r = drift_residual(kappa, a, b)
         return PairResidual(a, b, r, abs(r) <= AUDIT_TOLERANCE)
 
-    sq_exponent = -1.0 - 8.0 / (kappa * kappa)
+    sq_exponent = -1.0 - 8.0 / kappa / kappa   # kappa^2 may underflow to 0
     proposed = check(sq_exponent, sq_exponent)
     a_13 = -1.0 - 8.0 / kappa
     roots = one_point_exponents(kappa, a_13)

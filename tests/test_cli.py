@@ -299,6 +299,7 @@ def test_overflowing_config_fails_with_its_own_line(sub, tmp_path, capsys):
 HUGE = ["--kappa", "1e308", "--horizon", "1", "--samples", "200", "--workers", "1"]
 CHECKPOINT_LINE = r"martingale-test: \d+ checkpoints with a non-finite mean or standard error"
 IMAGE_LINE = r"composed: \d+ images non-finite or below the real axis"
+EXPONENTS_LINE = r"exponents: non-finite value in the report"
 OVERFLOWING_SUMS = {
     "composed-2": (["composed", *HUGE, "--steps", "2"], 1, IMAGE_LINE),
     "composed-50": (["composed", *HUGE, "--steps", "50"], 1, IMAGE_LINE),
@@ -310,6 +311,11 @@ OVERFLOWING_SUMS = {
     "martingale-test-y100-b100": (["martingale-test", "--y", "100", "--exponent-a", "0",
                                    "--exponent-b", "100", "--samples", "200", "--steps", "10",
                                    "--workers", "1"], 1, CHECKPOINT_LINE),
+    # finite inputs whose exponents overflow: b at kappa 1e300, the proposed
+    # pair's 8/kappa^2 at kappa 1e-300, the discriminant at h 1e308
+    "exponents-kappa-1e300": (["exponents", "--kappa", "1e300"], 1, EXPONENTS_LINE),
+    "exponents-kappa-1e-300": (["exponents", "--kappa", "1e-300"], 1, EXPONENTS_LINE),
+    "exponents-h-1e308": (["exponents", "--kappa", "4", "--h", "1e308"], 1, EXPONENTS_LINE),
 }
 
 
@@ -563,6 +569,9 @@ USAGE_ERRORS = {
     "trace-kappa-inf": ["trace", "--steps", "5", "--kappa", "inf"],
     # each of these divides by zero unless kappa is checked first
     "exponents-kappa-0": ["exponents", "--kappa", "0"],
+    # a NaN h gives NaN roots; 1e400 is past the floats
+    "exponents-h-nan": ["exponents", "--kappa", "4", "--h", "nan"],
+    "exponents-kappa-1e400": ["exponents", "--kappa", "1e400"],
     "cft-table-zero-denominator": ["cft-table", "--kappa", "2,1/0"],
     "virasoro-check-zero-denominator": ["virasoro-check", "--kappa", "1/0"],
     # a worker count must be at least 1: 0 does not mean all cores
@@ -635,6 +644,8 @@ def test_config_value_its_type_changes_is_usage_error(sub, file_cfg, tmp_path, c
     ({"z0": [0, 1], "steps": 10}, ["radial", "--z0", "0,1", "--steps", "10"]),
     ({"z0": "0,1", "steps": 10}, ["radial", "--z0", "0,1", "--steps", "10"]),
     ({"z0": [0.5, 2.0], "steps": 10}, ["radial", "--z0", "0.5,2", "--steps", "10"]),
+    # a value that starts with "-" and is not a plain decimal follows "="
+    ({"z0": [-0.5, 1]}, ["radial", "--z0=-0.5,1"]),
 ])
 def test_config_file_and_flags_share_the_run_directory(file_cfg, flags, tmp_path, capsys):
     sub = flags[0]
