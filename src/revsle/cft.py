@@ -25,7 +25,6 @@ from fractions import Fraction
 from typing import NamedTuple, Union
 
 __all__ = [
-    "Sector",
     "CftParams",
     "params_from_kappa",
     "kac_dimension",
@@ -33,7 +32,6 @@ __all__ = [
     "coupling_check",
 ]
 
-Sector = str  # "liouville" | "matter"
 Number = Union[int, float, Fraction]
 
 _SECTORS = ("liouville", "matter")
@@ -43,8 +41,7 @@ _SECTORS = ("liouville", "matter")
 class CftParams:
     """Sector data derived from kappa.  Values are Fraction in exact mode."""
 
-    kappa: Number
-    sector: Sector
+    sector: str
     b_squared: Number
     q_squared: Number
     c: Number
@@ -65,7 +62,7 @@ def _coerce(kappa: Number) -> Number:
     return float(kappa)
 
 
-def params_from_kappa(kappa: Number, sector: Sector) -> CftParams:
+def params_from_kappa(kappa: Number, sector: str) -> CftParams:
     """Fill (b^2, Q^2, c) for the given sector; b^2 = +-kappa/4."""
     if sector not in _SECTORS:
         raise ValueError(f"sector must be one of {_SECTORS}, got {sector!r}")
@@ -75,7 +72,7 @@ def params_from_kappa(kappa: Number, sector: Sector) -> CftParams:
     b2 = k / 4 if sector == "liouville" else -k / 4
     q2 = b2 + 2 + 1 / b2
     c = 1 + 6 * q2
-    return CftParams(k, sector, b2, q2, c)
+    return CftParams(sector, b2, q2, c)
 
 
 def kac_dimension(params: CftParams, r: int, s: int) -> Number:

@@ -201,6 +201,8 @@ def _exponents(cfg, workers):
         kappa = float(_fraction(str(cfg["kappa"])))
     except OverflowError:
         raise ValueError(f"kappa {cfg['kappa']} is past the floats") from None
+    if cfg["h"] is not None and not np.isfinite(cfg["h"]):
+        raise ValueError(f"h must be finite, got {cfg['h']}")
     audit = audit_one_point_exponents(kappa)
     # an unset h is the (1,3) weight at b^2 = kappa/4, the audit's derived a
     h = audit.derived[0].a if cfg["h"] is None else cfg["h"]

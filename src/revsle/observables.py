@@ -38,6 +38,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
+from .cft import kac_dimension, params_from_kappa
 # apply_map and apply_derivative are not called here: perfbench's tracer test
 # pins these two bindings in this module.
 from .loewner import apply_derivative, apply_map  # noqa: F401
@@ -56,7 +57,9 @@ __all__ = [
 ]
 
 DELTA_MIN = 1e-6   # minimum |y - xi| for generator evaluation
-AUDIT_TOLERANCE = 1e-10   # |drift residual| of a pair the audit calls drift-free
+# |drift residual| of a pair the audit calls drift-free, relative to its
+# largest term (and to 1)
+AUDIT_TOLERANCE = 1e-10
 _H1_REL = 1e-5     # relative step, first derivatives
 # Second derivatives use a larger step: at 1e-5 the float64 cancellation
 # noise 4*eps/h^2 ~ 2e-6 would exceed the 1e-6 residual budget, while 1e-4
@@ -149,20 +152,23 @@ def one_point_exponents(kappa: float, h: float) -> ExponentRoots:
     for the power exponent b of a drift-free one-point observable whose
     derivative exponent is h.  Both roots are returned; complex_roots flags a
     negative discriminant (roots then form a conjugate pair).  kappa must be
-    positive and finite, and h finite."""
-    if not (0.0 < kappa < math.inf and math.isfinite(h)):
-        raise ValueError(f"need kappa positive and finite, h finite; got {kappa}, {h}")
-    qa = 0.25 * kappa
+    positive and finite; a non-finite h, such as a weight that overflowed,
+    gives non-finite roots."""
+    if not 0.0 < kappa < math.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
+    # dividing by the leading coefficient kappa/4 is multiplying by 4 and
+    # dividing by kappa (exact scalings), since kappa/4 underflows to 0 at the
+    # least subnormal kappas
     qb = -(1.0 + 0.25 * kappa)
-    disc = qb * qb - 4.0 * qa * h
+    disc = qb * qb - kappa * h
     if disc < 0.0:
         s = math.sqrt(-disc)
-        re = -qb / (2.0 * qa)
-        im = s / (2.0 * qa)
+        re = -2.0 * qb / kappa
+        im = 2.0 * s / kappa
         return ExponentRoots(complex(re, im), complex(re, -im), True)
     s = math.sqrt(disc)
     q = -(qb - s) / 2.0   # qb < 0 always, so this avoids cancellation
-    r1 = q / qa
+    r1 = 4.0 * q / kappa
     r2 = h / q
     hi, lo = (r1, r2) if r1 >= r2 else (r2, r1)
     return ExponentRoots(complex(hi, 0.0), complex(lo, 0.0), False)
@@ -198,12 +204,17 @@ def audit_one_point_exponents(kappa: float) -> OnePointExponentAudit:
         raise ValueError(f"kappa must be positive and finite, got {kappa}")
 
     def check(a: float, b: float) -> PairResidual:
+        # relative to the largest term of 2a - 2b + kappa b^2 / 2 - kappa b / 2,
+        # not to b (b - 1), which cancels near b = 1; an inf residual over an
+        # inf term is NaN and fails
         r = drift_residual(kappa, a, b)
-        return PairResidual(a, b, r, abs(r) <= AUDIT_TOLERANCE)
+        scale = max(1.0, abs(2.0 * a), abs(2.0 * b), 0.5 * kappa * b * b, 0.5 * kappa * abs(b))
+        return PairResidual(a, b, r, abs(r) / scale <= AUDIT_TOLERANCE)
 
     sq_exponent = -1.0 - 8.0 / kappa / kappa   # kappa^2 may underflow to 0
     proposed = check(sq_exponent, sq_exponent)
-    a_13 = -1.0 - 8.0 / kappa
+    # b^2 = kappa/4 underflows to 0 at the least subnormal kappas: h_13 is -inf
+    a_13 = kac_dimension(params_from_kappa(kappa, "liouville"), 1, 3) if kappa / 4 else -math.inf
     roots = one_point_exponents(kappa, a_13)
     derived = tuple(check(a_13, r.real) for r in (roots.b_plus, roots.b_minus))
     return OnePointExponentAudit(proposed, derived)

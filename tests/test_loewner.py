@@ -363,6 +363,13 @@ def test_point_far_from_hull_is_not_swallowed():
     apply_map(evo, 10 + 1j)   # must not raise
 
 
+def test_point_below_the_real_axis_is_rejected():
+    evo = evolve_forward(zero_path(0.25, 10))
+    for z in (1 - 1j, np.array([1j, 2 - 0.5j])):
+        with pytest.raises(ValueError):
+            apply_map(evo, z)
+
+
 # --- hydrodynamic normalization ----------------------------------------------
 
 @pytest.mark.parametrize("direction,sign", [("forward", +1.0), ("backward", -1.0)])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import revsle.observables
 from revsle.driving import TimeGrid, explicit_path, sample_brownian
 from revsle.loewner import apply_derivative, apply_map, evolve_backward, evolve_forward
 from revsle.montecarlo import _check_one_point, _one_point_walk, _xi_block
@@ -426,6 +427,28 @@ def test_audit_kappa_4_derived_pairs():
     audit = audit_one_point_exponents(4.0)
     pairs = {(c.a, c.b) for c in audit.derived}
     assert pairs == {(-3.0, 3.0), (-3.0, -1.0)}
+
+
+def test_audit_tolerance_follows_the_size_of_the_terms(monkeypatch):
+    # 8/kappa and kappa b^2 reach 1e9 on this grid: an absolute tolerance
+    # would read the rounding of exactly drift-free pairs as drift
+    grid = np.logspace(-8, 12, 201)
+    for kappa in grid:
+        audit = audit_one_point_exponents(kappa)
+        assert all(math.isfinite(p.residual) for p in (audit.proposed, *audit.derived))
+        assert all(p.satisfies for p in audit.derived), kappa
+        assert not audit.proposed.satisfies, kappa
+    # ... while a b moved off its root by 1e-6, relative and absolute, fails
+    roots = revsle.observables.one_point_exponents
+
+    def moved(kappa, h):
+        r = roots(kappa, h)
+        return r._replace(b_plus=r.b_plus * (1 + 1e-6) + 1e-6,
+                          b_minus=r.b_minus * (1 + 1e-6) + 1e-6)
+
+    monkeypatch.setattr(revsle.observables, "one_point_exponents", moved)
+    for kappa in grid[(grid >= 1e-6) & (grid <= 1e8)]:
+        assert not any(p.satisfies for p in audit_one_point_exponents(kappa).derived), kappa
 
 
 # --- observable construction ----------------------------------------------------------

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from revsle.virasoro import (VermaVector,
+import revsle.virasoro
+from revsle.cft import kac_dimension, params_from_kappa
+from revsle.virasoro import (DecompositionError, VermaVector,
                              is_level2_singular, l_action, level2_candidate,
                              null_vector_12, null_vector_21, vacuum,
                              w_eigenvalue)
@@ -95,9 +97,8 @@ def test_level_cap_enforced():
 def test_mixed_level_flag():
     v = vacuum(H, C)
     mixed = v + l_action(-2, v)
-    assert mixed.mixed_level
     assert mixed.levels() == {0, 2}
-    assert not l_action(-2, v).mixed_level
+    assert l_action(-2, v).levels() == {2}
 
 
 def test_vector_equality_and_zero():
@@ -149,7 +150,6 @@ def test_kappa_4_self_dual_point():
 
 @pytest.mark.parametrize("kappa", [Fraction(2), Fraction(4), Fraction(6)])
 def test_perturbed_weight_is_not_singular(kappa):
-    from revsle.cft import params_from_kappa
     p = params_from_kappa(kappa, "liouville")
     b2 = p.b_squared
     h = -Fraction(1, 2) - 3 / (4 * b2)
@@ -175,8 +175,23 @@ def test_w_eigenvalue_values(kappa, expected):
     w = w_eigenvalue(kappa)
     assert w.eigenvalue == expected
     assert w.mu == Fraction(1, 2)
-    assert w.remainder_is_null_multiple
     assert w.matches_formula
+
+
+@pytest.mark.parametrize("b2_factor,shift,flag,match", [
+    (1, Fraction(1, 10), False, "not singular"),
+    (2, 0, True, "not in span"),
+], ids=["shifted-weight", "wrong-shape-flagged-singular"])
+def test_w_eigenvalue_raises_off_the_null_vector(b2_factor, shift, flag, match, monkeypatch):
+    # each DecompositionError can fire: a (1,2) candidate at a shifted weight
+    # is not singular; one with twice the L_{-1}^2 coefficient, flagged
+    # singular anyway, leaves the image outside span{|h>, N}
+    p = params_from_kappa(Fraction(4), "liouville")
+    n = level2_candidate(b2_factor * p.b_squared, kac_dimension(p, 1, 2) + shift, p.c)
+    assert not is_level2_singular(n)   # neither candidate is a null vector
+    monkeypatch.setattr(revsle.virasoro, "null_vector_12", lambda kappa, sector: (n, flag))
+    with pytest.raises(DecompositionError, match=match):
+        w_eigenvalue(Fraction(4))
 
 
 @pytest.mark.parametrize("kappa", KAPPAS)
@@ -191,14 +206,12 @@ def test_w_eigenvalue_formula_sweep(kappa):
 def test_w_image_is_mixed_level():
     # (L_{-1}+L_1)^2 / 4 maps the vacuum into levels {0, 2}
     k = Fraction(3)
-    from revsle.cft import params_from_kappa
     p = params_from_kappa(k, "liouville")
     h = -Fraction(1, 2) - 3 / (4 * p.b_squared)
     v = vacuum(h, p.c)
     w1 = (l_action(-1, v) + l_action(1, v)).scale(Fraction(1, 2))
     w1w1 = (l_action(-1, w1) + l_action(1, w1)).scale(Fraction(1, 2))
     assert w1w1.levels() == {0, 2}
-    assert w1w1.mixed_level
 
 
 def test_partition_validation():
