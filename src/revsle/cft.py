@@ -70,6 +70,8 @@ def params_from_kappa(kappa: Number, sector: str) -> CftParams:
     if not k > 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
     b2 = k / 4 if sector == "liouville" else -k / 4
+    if b2 == 0:   # kappa/4 underflows at the least subnormal kappas
+        raise ValueError(f"kappa/4 underflows to 0 at kappa={kappa}")
     q2 = b2 + 2 + 1 / b2
     c = 1 + 6 * q2
     return CftParams(sector, b2, q2, c)

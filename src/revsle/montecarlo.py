@@ -33,13 +33,14 @@ slit step of capacity dt/2 at xi_{k+1}.  This symmetric (Strang) splitting
 has a weak error of second order in dt away from the stopping band; holding
 xi_k over the whole step is first order, and at 20 steps it biased the mean
 of a drift-free observable low by about two standard errors of a
-9000-sample mean.  A sample freezes at the last grid step where
-X = g(y) - xi exceeds eps_stop and from which the next step is real:
-X^2 > 2 dt, and after the jump the point still lies more than sqrt(2 dt)
-right of the driving (the discrete scheme would otherwise leave the real
-axis).  Frozen samples keep contributing their stopped value, so the
-ensemble mean of a drift-free observable stays at its t=0 value.  Across a
-step, g' gains the factors X/H and P/X' of its two half steps, where
+9000-sample mean.  A sample stops at the last step where it lies above the
+band, X = g(y) - xi > eps_stop, and keeps that step's values; it reaches
+the next step only when it can move on: X^2 > 2 dt and, after the jump, the
+point still lies more than sqrt(2 dt) right of the driving (the discrete
+scheme would otherwise leave the real axis).  Frozen samples keep
+contributing their stopped value, so the ensemble mean of a drift-free
+observable stays at its t=0 value.  Across a step, g' gains the factors X/H
+and P/X' of its two half steps, where
 H = sqrt(X^2 - 2 dt) and P = H - (xi_{k+1} - xi_k) are the states before
 and after the jump and X' = sqrt(P^2 - 2 dt).  Their product telescopes, so
 the walk keeps log g'(y) = log(X_0 / X_k) plus a running sum of
@@ -99,10 +100,32 @@ class McConfig:
     eps_stop: float = 1e-3
 
     def __post_init__(self):
-        _ensemble_dt(self.kappa, self.horizon, self.n_steps, self.n_samples)
+        """Reject what the walk cannot fail closed on: a non-finite y, a, b
+        or eps_stop (a NaN eps_stop stops every sample or none), not
+        0 <= eps_stop < y, an F_0 = y^b that is not a positive normal float
+        (one that underflows makes every frozen value zero with it, a silent
+        pass; one past the floats no mean can match), or y^2 <= 2 dt, where
+        the first half step is not real and every sample stops at step 0,
+        a vacuous run.  Here y is the point's distance right of the
+        driving's start."""
+        dt = _ensemble_dt(self.kappa, self.horizon, self.n_steps, self.n_samples)
         if self.n_samples < 100:
             raise ValueError("need n_samples >= 100")
-        _check_one_point(self.y, self.a, self.b, self.eps_stop)
+        y, b, eps_stop = self.y, self.b, self.eps_stop
+        for name, v in (("y", y), ("a", self.a), ("b", b), ("eps_stop", eps_stop)):
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
+        if not 0.0 <= eps_stop < y:
+            raise ValueError(f"need 0 <= eps_stop < y: the point starts right of the seed, "
+                             f"outside the stopping band; got y={y}, eps_stop={eps_stop}")
+        try:
+            normal = float(y ** b) >= 2.0 ** -1022   # the least positive normal float
+        except OverflowError:
+            normal = False
+        if not normal:
+            raise ValueError(f"F_0 = y^b must be a positive normal float, got y={y}, b={b}")
+        if not y * y - 0.5 * (4.0 * dt) > 0.0:   # q_0, as the walk computes it
+            raise ValueError(f"need y^2 > 2 T/n for a first step, got y={y}, T/n={dt}")
 
     def checkpoint_indices(self) -> list[int]:
         stride = max(1, self.n_steps // 5)
@@ -192,27 +215,6 @@ def _run_batched(task: Callable, n_samples: int, workers: int) -> tuple:
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
-def _check_one_point(y: float, a: float, b: float, eps_stop: float) -> None:
-    """Reject inputs the one-point walk cannot fail closed on: a non-finite
-    y, a, b or eps_stop (a NaN eps_stop stops every sample or none), not
-    0 <= eps_stop < y, or an F_0 = y^b that is not a positive normal float
-    (one that underflows makes every frozen value zero with it, a silent
-    pass; one past the floats no mean can match).  Here y is the point's
-    distance right of the driving's start."""
-    for name, v in (("y", y), ("a", a), ("b", b), ("eps_stop", eps_stop)):
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v}")
-    if not 0.0 <= eps_stop < y:
-        raise ValueError(f"need 0 <= eps_stop < y: the point starts right of the seed, "
-                         f"outside the stopping band; got y={y}, eps_stop={eps_stop}")
-    try:
-        normal = float(y ** b) >= 2.0 ** -1022   # the least positive normal float
-    except OverflowError:
-        normal = False
-    if not normal:
-        raise ValueError(f"F_0 = y^b must be a positive normal float, got y={y}, b={b}")
-
-
 def _one_point_walk(xi: np.ndarray, four_dt: float, y: float, a: float, b: float,
                     eps_stop: float, record: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """(g'(y))^a (g(y)-xi)^b for each column of the step-major driving block
@@ -221,62 +223,59 @@ def _one_point_walk(xi: np.ndarray, four_dt: float, y: float, a: float, b: float
     Returns the frozen values and the alive masks (True: the sample can
     take the next step; at the last step, which no jump follows, its first
     half step) at the steps in ``record``, each of shape (m, len(record)).
-    y - xi[0] and the rest must pass :func:`_check_one_point`."""
+    y - xi[0] and the rest must pass the checks of :class:`McConfig`, except
+    that a sample may start inside the band: it stops at step 0."""
     half = 0.5 * four_dt   # 2 dt: four times a half step's capacity
     root_half = math.sqrt(half)
+    band = eps_stop * eps_stop - half   # q <= band: X <= eps_stop
     x2_0 = (float(y) - xi[0]) ** 2
-    q_0 = x2_0 - half
-    # H^2 = X^2 - 2 dt at the current grid step and at the previous one (at
-    # step 0 every sample lies above the band, so nothing reads the latter)
-    q = q_prev = q_0
-    shift = np.zeros_like(q_0)   # q - (q_0 - 4 t): the jumps' share of q
-    alive = np.ones(q_0.shape, dtype=bool)
-    # the running sum of log(P / H) and the next step's term; the sum and
-    # q of each stopped sample at the step it froze at.  The running arrays
+    # q = H^2 = X^2 - 2 dt at the current grid step
+    q = q_0 = x2_0 - half
+    shift = np.zeros_like(q)   # q - (q_0 - 4 t): the jumps' share of q
+    # alive: the sample lies above the band at this step, having moved at
+    # every earlier one; the running sum of log(P / H) and the next step's
+    # term; the sum and q of each stopped sample at the step it froze at (a
+    # sample inside the band at step 0 freezes there).  The running arrays
     # go on for stopped samples (unused, often NaN): copying those that
     # stop each step is cheaper than masking every update.
-    log_sum = np.zeros_like(q_0)
+    alive = q > band
+    log_sum = np.zeros_like(q)
     term = 0.0
-    frozen_sum = np.empty_like(q_0)
-    frozen_q = np.empty_like(q_0)
+    frozen_sum = np.zeros_like(q)
+    frozen_q = q_0.copy()
     exponent_at, alive_at = [], []
-
-    def freeze(stopped, sums, qs):
-        np.copyto(frozen_sum, sums, where=stopped)
-        np.copyto(frozen_q, qs, where=stopped)
-
     # a huge driving overflows the running arrays and the recorded values;
     # the reduction fails such a run
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(xi.shape[0]):
-            above = q > eps_stop * eps_stop - half   # X > eps_stop
-            above &= alive
-            freeze(alive ^ above, log_sum, q_prev)
             log_sum += term
-            alive = q > 0.0   # a new array: alive_at keeps it
-            alive &= above
+            moves = q > 0.0   # a new array: alive_at keeps it
+            moves &= alive
+            q_next = q   # no jump follows the last step: there still = moves
             if k + 1 < xi.shape[0]:
                 # H: half a step at xi[k]; P: then the jump to xi[k+1]
                 h = np.sqrt(q)
                 u = xi[k] - xi[k + 1]
                 p = h + u
-                alive &= p > root_half   # the second half step is real
-            freeze(above ^ alive, log_sum, q)   # no real next step
-            if k in record:
-                sums = np.where(alive, log_sum, frozen_sum)
-                x2 = np.where(alive, q, frozen_q) + half
-                exponent_at.append((0.5 * a) * np.log(x2_0) + (0.5 * (b - a)) * np.log(x2)
-                                   + a * sums)
-                alive_at.append(alive)
-            if k + 1 < xi.shape[0]:
+                moves &= p > root_half   # the second half step is real
                 term = np.log1p(u / h)   # log(P / H)
                 # P^2 - 4 dt = q - 4 dt + u (H + P); summing the u (H + P)
                 # apart keeps X^2 free of a rounding per step where u = 0
                 h += p
                 h *= u
                 shift += h
-                q_prev, q = q, q_0 - (k + 1) * four_dt
-                q += shift
+                q_next = q_0 - (k + 1) * four_dt + shift
+            still = moves & (q_next > band)
+            stops = alive ^ still   # stopped here: this step's values
+            np.copyto(frozen_sum, log_sum, where=stops)
+            np.copyto(frozen_q, q, where=stops)
+            if k in record:
+                sums = np.where(moves, log_sum, frozen_sum)
+                x2 = np.where(moves, q, frozen_q) + half
+                exponent_at.append((0.5 * a) * np.log(x2_0) + (0.5 * (b - a)) * np.log(x2)
+                                   + a * sums)
+                alive_at.append(moves)
+            alive, q = still, q_next
         return np.exp(np.stack(exponent_at, axis=1)), np.stack(alive_at, axis=1)
 
 

@@ -12,12 +12,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import gammaincc
 
 from revsle.cft import coupling_check, kac_dimension, params_from_kappa
 from revsle.driving import TimeGrid, explicit_path, sample_brownian
 from revsle.loewner import (apply_derivative, apply_map, evolve_backward,
                             evolve_forward, evolve_wholeplane, trace)
-from revsle.montecarlo import (McConfig, run_inverse_consistency,
+from revsle.montecarlo import (McConfig, McReport, run_inverse_consistency,
                                run_martingale_test)
 from revsle.observables import (ObservableSpec, audit_one_point_exponents,
                                 bpz_generator, one_point_exponents)
@@ -200,3 +201,48 @@ def test_criterion_10_reproducibility(martingale_good, inverse_500):
           and repr(rerun_inv) == repr(inverse_500))
     report(10, ok, "martingale and inverse reports identical in every field "
                    "for 1 vs 4 workers")
+
+
+# (kappa, horizon) of the stopping-time law, and its bound on |z| at every
+# checkpoint, fixed before the runs
+STOPPING_LAW = ((2.0, 0.2), (8 / 3, 0.25), (4.0, 0.2), (6.0, 0.1))
+LAW_BOUND = 4.0
+
+
+def _stopping_law_z(rep: McReport, kappa: float) -> list[float]:
+    """z = (stopped fraction - P(tau <= t)) / se at each checkpoint of a run
+    from y = 1 with eps_stop = 0.  X = g(y) - xi solves dX = -2 dt/X -
+    sqrt(kappa) dB, so X / sqrt(kappa) is a Bessel process of dimension
+    1 - 4/kappa, which hits 0 at tau = 1/(2 kappa G) with G ~ Gamma(1/2 +
+    2/kappa) (Rohde and Schramm, Ann. Math. 161 (2005)):
+    P(tau <= t) = gammaincc(1/2 + 2/kappa, 1/(2 kappa t))."""
+    n = rep.n_samples
+    zs = []
+    for row in rep.checkpoints:
+        p = gammaincc(0.5 + 2.0 / kappa, 1.0 / (2.0 * kappa * row.t))
+        zs.append((row.n_stopped / n - p) / math.sqrt(p * (1.0 - p) / n))
+    return zs
+
+
+def test_criterion_11_stopping_time_law():
+    ok = True
+    worst, wrong_kappa, coarse = 0.0, math.inf, math.inf
+    for kappa, horizon in STOPPING_LAW:
+        def run(n_steps):
+            cfg = McConfig(kappa=kappa, horizon=horizon, n_steps=n_steps, n_samples=40_000,
+                           master_seed=7, y=1.0, a=0.0, b=0.0, eps_stop=0.0)
+            return run_martingale_test(cfg, workers=2)
+
+        fine = run(400)
+        z = max(map(abs, _stopping_law_z(fine, kappa)))
+        # controls: the law at a wrong kappa on the same counts, and a coarse
+        # grid, whose first checkpoints stop too many samples
+        z_wrong = max(map(abs, _stopping_law_z(fine, 1.25 * kappa)))
+        z_coarse = max(map(abs, _stopping_law_z(run(25), kappa)))
+        ok = ok and z <= LAW_BOUND < min(z_wrong, z_coarse)
+        worst = max(worst, z)
+        wrong_kappa, coarse = min(wrong_kappa, z_wrong), min(coarse, z_coarse)
+    report(11, ok, f"stopped fraction follows P(tau <= t) = Q(1/2 + 2/kappa, 1/(2 kappa t)) "
+                   f"at kappa in {{2, 8/3, 4, 6}}, 400 steps, 4e4 samples: max|z|={worst:.2f} "
+                   f"<= {LAW_BOUND:g}; the law at 1.25 kappa (min max|z|={wrong_kappa:.1f}) "
+                   f"and 25 steps ({coarse:.1f}) fail")

@@ -52,6 +52,10 @@ def test_kappa_validation():
         params_from_kappa(4, "spacelike")
     with pytest.raises(TypeError):   # a bool is not a kappa
         params_from_kappa(True, "liouville")
+    for kappa in (5e-324, 1e-323):   # kappa/4 is 0.0: 1/b^2 would divide by zero
+        for sector in ("liouville", "matter"):
+            with pytest.raises(ValueError, match="underflows"):
+                params_from_kappa(kappa, sector)
 
 
 def test_float_mode_is_float():

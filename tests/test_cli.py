@@ -169,6 +169,11 @@ def test_report_json_keys(sub, tmp_path, capsys):
         assert sorted(report["derived_pairs"][0]) == ["a", "b", "residual", "satisfies"]
 
 
+def test_json_hook_rejects_what_it_cannot_encode():
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        revsle.cli._jsonable({1})
+
+
 CSV_HEADERS = [
     ("martingale-test", ["--samples", "200", "--steps", "10"], "report.csv",
      "t,mean,stderr,z,n_alive,n_stopped", 5),
@@ -262,7 +267,7 @@ def test_driving_nonfinite_value_flips_exit_code(tmp_path, capsys):
 
 
 GRID_SUBCOMMANDS = {"driving": [], "trace": [], "radial": [],
-                    "martingale-test": ["--samples", "200", "--workers", "1"],
+                    "martingale-test": ["--samples", "200", "--workers", "1", "--y", "1e6"],
                     "inverse-check": ["--samples", "200", "--workers", "1"],
                     "composed": ["--samples", "200", "--workers", "1"]}
 
@@ -290,7 +295,8 @@ def test_overflowing_config_fails_with_its_own_line(sub, tmp_path, capsys):
 
 # A huge but finite driving: composed's images hold both +inf and -inf, whose
 # sum math.fsum cannot take; the walk's values overflow at 50 steps, while at
-# 2 steps every sample freezes at step 0 and the run passes.  And 100^154 is
+# 2 steps y^2 = 2 T/n leaves the walk no first step, a usage error (it once
+# froze every sample at step 0 and passed).  And 100^154 is
 # finite while the sum of 200 such values is not; 100^100 sums, but its
 # squared deviations do not, and an infinite standard error gives z = 0.
 # Each run ends with its verdict and at most one stderr line of its own: no
@@ -303,7 +309,8 @@ EXPONENTS_LINE = r"exponents: non-finite value in the report"
 OVERFLOWING_SUMS = {
     "composed-2": (["composed", *HUGE, "--steps", "2"], 1, IMAGE_LINE),
     "composed-50": (["composed", *HUGE, "--steps", "50"], 1, IMAGE_LINE),
-    "martingale-test-2": (["martingale-test", *HUGE, "--steps", "2"], 0, None),
+    "martingale-test-2": (["martingale-test", *HUGE, "--steps", "2"], 2,
+                          r"error: need y\^2 > 2 T/n for a first step, got y=1\.0, T/n=0\.5"),
     "martingale-test-50": (["martingale-test", *HUGE, "--steps", "50"], 1, CHECKPOINT_LINE),
     "martingale-test-y100": (["martingale-test", "--y", "100", "--exponent-a", "0",
                               "--exponent-b", "154", "--samples", "200", "--steps", "10",
@@ -330,12 +337,11 @@ def test_overflowing_sum_fails_with_its_own_line(argv, code, line, tmp_path, cap
         assert err == []
     else:
         assert len(err) == 1 and re.fullmatch(line, err[0]), err
-    if argv[0] == "martingale-test":
+    if code == 2:   # a usage error writes no run directory
+        assert list(tmp_path.iterdir()) == []
+    elif argv[0] == "martingale-test":
         report = json.loads((only_run_dir(tmp_path, argv[0] + "-") / "report.json").read_text())
-        assert report["verdict"] is (code == 0)
-        if code == 0:   # every sample froze at step 0, at F_0 = 1
-            assert {(row["mean"], row["n_stopped"]) for row in report["checkpoints"]} == {
-                (1.0, 200)}
+        assert report["verdict"] is False
 
 
 def test_trace_and_radial_fields_are_plain_floats(tmp_path, capsys):
@@ -559,6 +565,12 @@ USAGE_ERRORS = {
     "martingale-test-y0.01-b200": ["martingale-test", "--y", "0.01", "--exponent-a", "0",
                                    "--exponent-b", "200", "--samples", "200", "--steps", "10",
                                    "--workers", "1"],
+    # y^2 <= 2 T/n: the walk's first half step is not real, so every sample
+    # would stop at step 0; at y = 0.1 that run passed with z = 0, at 0.3 and
+    # 0.7 it failed on a last-bit difference between y^b and the walk's value
+    **{f"martingale-test-no-first-step-y{y}": [
+        "martingale-test", "--y", y, "--horizon", "1", "--steps", "2", "--samples", "200",
+        "--exponent-a", "0", "--exponent-b", "1.5"] for y in ("0.1", "0.3", "0.7")},
     "martingale-test-y-inf": ["martingale-test", "--samples", "200", "--steps", "5",
                               "--y", "inf"],
     "martingale-test-y-nan": ["martingale-test", "--samples", "200", "--steps", "5",

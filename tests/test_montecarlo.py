@@ -53,6 +53,14 @@ def test_config_validation():
         with pytest.raises(ValueError):
             McConfig(kappa=4.0, horizon=0.05, n_steps=10, n_samples=100,
                      master_seed=0, **one_point(y, a, b))
+    # the walk's first half step needs q_0 = y^2 - 2 T/n > 0: at T/n = 0.5,
+    # y = 1 gives q_0 = 0, where every sample would stop at step 0
+    for y in (0.1, 1.0, 0.3, 0.7):
+        with pytest.raises(ValueError, match="y\\^2 > 2 T/n"):
+            McConfig(kappa=4.0, horizon=1.0, n_steps=2, n_samples=100,
+                     master_seed=0, **one_point(y, 0.0, 1.5))
+    McConfig(kappa=4.0, horizon=1.0, n_steps=2, n_samples=100,
+             master_seed=0, **one_point(math.nextafter(1.0, 2.0), 0.0, 1.5))
     McConfig(kappa=4.0, horizon=0.05, n_steps=10, n_samples=100,
              master_seed=0, **DRIFT_FREE, eps_stop=0.0)   # no stopping band
     for b in (-1022.0, 1023.0):   # F_0 the least and the greatest normal powers of 2
@@ -385,6 +393,14 @@ def test_stderr_scales_with_sample_count():
 
 
 # --- inverse consistency -------------------------------------------------------
+
+@pytest.mark.parametrize("n_samples", [0, -1])
+@pytest.mark.parametrize("engine", [run_inverse_consistency, run_composed_stats],
+                         ids=["inverse", "composed"])
+def test_engines_reject_fewer_than_one_sample(engine, n_samples):
+    with pytest.raises(ValueError, match="n_samples >= 1"):
+        engine(4.0, 1.0, 10, n_samples)
+
 
 def test_inverse_consistency_passes_bound():
     rep = run_inverse_consistency(4.0, 1.0, 200, 50, master_seed=7)

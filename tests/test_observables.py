@@ -6,7 +6,7 @@ import pytest
 import revsle.observables
 from revsle.driving import TimeGrid, explicit_path, sample_brownian
 from revsle.loewner import apply_derivative, apply_map, evolve_backward, evolve_forward
-from revsle.montecarlo import _check_one_point, _one_point_walk, _xi_block
+from revsle.montecarlo import McConfig, _one_point_walk, _xi_block
 from revsle.observables import (DELTA_MIN, ObservableSpec,
                                 PointsTooCloseError, _d1, _d2,
                                 audit_one_point_exponents,
@@ -361,6 +361,11 @@ def test_eval_one_point_stops_when_driving_catches_up():
                                   a=0.0, b=0.5)
     assert stop == 0
     assert value == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    # a driving that starts within eps_stop of the point: the sample stops
+    # at step 0 with its start values, not at a later step
+    value, stop = walk_one_column(explicit_path(grid, 4.0, [1.5, 1.5, 1.5]), 2.0,
+                                  a=0.0, b=1.0, eps_stop=0.6)
+    assert stop == 0 and value == 0.5
 
 
 def test_eval_one_point_stops_at_unsteppable_state():
@@ -394,15 +399,21 @@ def test_eval_one_point_stops_at_unsteppable_final_state():
     (2.0, 0.0, 1.0, 2.0)])
 def test_eval_one_point_rejects_nonfinite_or_banded_inputs(y, a, b, eps_stop):
     with pytest.raises(ValueError):
-        _check_one_point(y, a, b, eps_stop)
+        McConfig(4.0, 0.05, 10, 100, 0, y, a, b, eps_stop)
 
 
 def test_eval_one_point_rejects_left_points():
     with pytest.raises(ValueError):
-        _check_one_point(-2.0, 1.0, 1.0, 1e-3)
+        McConfig(4.0, 0.05, 10, 100, 0, -2.0, 1.0, 1.0, 1e-3)
 
 
 # --- proposed-exponent audit --------------------------------------------------------
+
+@pytest.mark.parametrize("kappa", [0.0, -1.0, math.nan, math.inf])
+def test_audit_rejects_kappa_outside_the_positive_floats(kappa):
+    with pytest.raises(ValueError, match="kappa must be positive and finite"):
+        audit_one_point_exponents(kappa)
+
 
 def test_audit_kappa_4_proposed_pair_fails():
     audit = audit_one_point_exponents(4.0)

@@ -105,6 +105,7 @@ def test_vector_equality_and_zero():
     v = vacuum(H, C)
     assert (v - v).is_zero()
     assert v + v == v.scale(2)
+    assert (v == 1) is False   # another type is never equal, and does not raise
     with pytest.raises(ValueError):
         v + vacuum(H + 1, C)
 
