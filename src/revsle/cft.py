@@ -15,11 +15,14 @@ alpha = Q/2 - (b r + s/b)/2.  Since Q_L^2 + Q_M^2 = 4 identically, the two
 central charges always satisfy c_L + c_M = 26.
 
 Exact mode: pass kappa as int or fractions.Fraction and every derived
-quantity is an exact rational; pass a float and everything is float.
+quantity is an exact rational; pass a float and everything is float, and
+a float kappa whose b^2 underflows to 0 or whose Q^2 or c overflows raises
+ValueError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
@@ -74,6 +77,11 @@ def params_from_kappa(kappa: Number, sector: str) -> CftParams:
         raise ValueError(f"kappa/4 underflows to 0 at kappa={kappa}")
     q2 = b2 + 2 + 1 / b2
     c = 1 + 6 * q2
+    # floats only: an exact c is never inf, and math.isfinite overflows on a
+    # huge Fraction; 1/b^2 overflows at a subnormal kappa/4, 6 Q^2 below
+    # kappa ~ 1.3e-307 and above kappa ~ 1.2e308
+    if isinstance(c, float) and not math.isfinite(c):
+        raise ValueError(f"Q^2 or c overflows at kappa={kappa}")
     return CftParams(sector, b2, q2, c)
 
 

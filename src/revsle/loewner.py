@@ -53,11 +53,9 @@ back-rotation as arrays.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -165,18 +163,15 @@ def slit_sqrt_vec(u: np.ndarray, re_hint: np.ndarray) -> np.ndarray:
     return s
 
 
-def swallowed(v: np.ndarray, four_dt: float, disc: Optional[np.ndarray] = None) -> np.ndarray:
+def swallowed(v: np.ndarray, four_dt: float) -> np.ndarray:
     """Mask of the offsets v = w - xi whose forward (+4dt) step hits the
     driving singularity: v is purely imaginary with |v|^2 <= 4dt (the point
     sits on the closed slit); the tip itself has discriminant v^2 + 4dt = 0.
-    ``disc``, if given, is that discriminant v*v + four_dt, already made.
     For four_dt >= 0 an offset with |v| <= EPS_SWALLOW is in the mask: the
     slit clause holds when four_dt >= EPS_SWALLOW^2, the discriminant
     clause below that."""
-    if disc is None:
-        disc = v * v + four_dt
     return (((np.abs(v.real) <= EPS_SWALLOW) & (v.imag ** 2 <= four_dt))
-            | (np.abs(disc) <= EPS_SWALLOW))
+            | (np.abs(v * v + four_dt) <= EPS_SWALLOW))
 
 
 def _slit_step(w: np.ndarray, x: float, c: float) -> tuple[np.ndarray, np.ndarray]:
@@ -385,10 +380,7 @@ def evolve_wholeplane(path: DrivingPath, z0: complex = 1j) -> RadialEvolution:
     states[0] = z0
     r = states[1:]
     r[:] = roots
-    # a NaN or inf root makes every later v NaN, the last one too, so a
-    # finite v means finite roots, whose rotation raises no flag
-    finite = math.isfinite(v.real) and math.isfinite(v.imag)
-    with contextlib.nullcontext() if finite else np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore"):   # a NaN or inf root rotates back to NaN
         num = r * icos
         num += sin
         den = r * isin

@@ -22,7 +22,10 @@ its span.
 The martingale test runs the one-point walk, ``_one_point_walk``, on each
 span's driving block.  A sample whose driving block holds a non-finite
 value fails the verdict.  The inverse and composed engines run each leg
-through one slit-step loop, ``_flow``.
+through one slit-step loop, ``_flow``.  Neither loop masks an update: a
+stopped sample or a swallowed point steps on with the rest, and the engine
+freezes what it reads of it at the step it stops (the walk) or skips it
+when it reduces (``composed``).
 
 The one-point walk evolves a boundary point y right of the driving's start
 under the backward flow in log space with optional stopping, and records
@@ -281,14 +284,12 @@ def _one_point_walk(xi: np.ndarray, four_dt: float, y: float, a: float, b: float
 
 def _flow(w: np.ndarray, rows, c: float, alive: Optional[np.ndarray] = None) -> np.ndarray:
     """One slit step w -> x + sqrt((w - x)^2 + c) per driving row x (c = 4 dt
-    forward, -4 dt backward).  With a mask, a forward step first retires the
-    points it swallows, and retired points keep their value.  The caller's
-    w is never written.
+    forward, -4 dt backward).  A forward leg's mask, if given, is cleared
+    at the points each step swallows; those points step on with the rest.
+    The caller's w is never written.
 
     Each step makes fresh arrays; the root takes x in place and becomes the
-    next w, or, with a mask, is copied into the leg's own w where alive."""
-    if alive is not None:
-        w = w.copy()
+    next w."""
     # a non-finite driving value gives NaN or inf points, which the engines
     # check, not warnings
     with np.errstate(invalid="ignore", over="ignore"):
@@ -297,14 +298,10 @@ def _flow(w: np.ndarray, rows, c: float, alive: Optional[np.ndarray] = None) -> 
             v = w - x   # x is real: Im(w - x) is Im w, bit for bit
             u = v * v
             u += c
-            if alive is not None and c > 0.0:
-                alive &= ~swallowed(v, c, u)
-            step = slit_sqrt_vec(u, v.real)
-            step += x
-            if alive is None:
-                w = step
-            else:
-                np.copyto(w, step, where=alive)
+            if alive is not None:
+                alive &= ~swallowed(v, c)
+            w = slit_sqrt_vec(u, v.real)
+            w += x
     return w
 
 
@@ -485,8 +482,8 @@ def run_composed_stats(kappa: float, horizon: float, n_steps: int, n_samples: in
                                                       n_steps, leg=1)
         w = np.tile(pts, (hi - lo, 1))
         alive = np.ones(w.shape, dtype=bool)
-        w = _flow(w, xi_f[:n_steps], four_dt, alive)    # forward leg (may swallow)
-        w = _flow(w, xi_b[:n_steps], -four_dt, alive)   # backward leg
+        w = _flow(w, xi_f[:n_steps], four_dt, alive)   # forward leg (may swallow)
+        w = _flow(w, xi_b[:n_steps], -four_dt)         # backward leg
         return w, alive
 
     w, alive = _run_batched(batch, n_samples, workers)

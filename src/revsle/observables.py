@@ -213,8 +213,10 @@ def audit_one_point_exponents(kappa: float) -> OnePointExponentAudit:
 
     sq_exponent = -1.0 - 8.0 / kappa / kappa   # kappa^2 may underflow to 0
     proposed = check(sq_exponent, sq_exponent)
-    # b^2 = kappa/4 underflows to 0 at the least subnormal kappas: h_13 is -inf
-    a_13 = kac_dimension(params_from_kappa(kappa, "liouville"), 1, 3) if kappa / 4 else -math.inf
+    try:
+        a_13 = kac_dimension(params_from_kappa(kappa, "liouville"), 1, 3)
+    except ValueError:   # b^2 = kappa/4 underflows, or Q^2 or c overflows
+        a_13 = -math.inf
     roots = one_point_exponents(kappa, a_13)
     derived = tuple(check(a_13, r.real) for r in (roots.b_plus, roots.b_minus))
     return OnePointExponentAudit(proposed, derived)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,20 @@ def test_kappa_validation():
         for sector in ("liouville", "matter"):
             with pytest.raises(ValueError, match="underflows"):
                 params_from_kappa(kappa, sector)
+
+
+@pytest.mark.parametrize("sector", ["liouville", "matter"])
+def test_float_kappa_whose_c_overflows_raises(sector):
+    # 1/b^2 overflows at a subnormal kappa/4 (1e-310, 1.5e-323); 6 Q^2
+    # overflows while kappa/4 is normal (1e-307) and at a large kappa (1.5e308)
+    for kappa in (1e-307, 1e-310, 1.5e-323, 1.5e308):
+        with pytest.raises(ValueError, match="overflows"):
+            params_from_kappa(kappa, sector)
+    for kappa in (1e-306, 1e308):
+        p = params_from_kappa(kappa, sector)
+        assert all(math.isfinite(x) for x in (p.b_squared, p.q_squared, p.c))
+    # exact mode has no overflow to check, and math.isfinite would raise on it
+    assert isinstance(params_from_kappa(10 ** 400, sector).c, Fraction)
 
 
 def test_float_mode_is_float():

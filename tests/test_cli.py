@@ -318,11 +318,15 @@ OVERFLOWING_SUMS = {
     "martingale-test-y100-b100": (["martingale-test", "--y", "100", "--exponent-a", "0",
                                    "--exponent-b", "100", "--samples", "200", "--steps", "10",
                                    "--workers", "1"], 1, CHECKPOINT_LINE),
-    # finite inputs whose exponents overflow: b at kappa 1e300, the proposed
-    # pair's 8/kappa^2 at kappa 1e-300, the discriminant at h 1e308, and at a
-    # subnormal kappa the (1,3) weight itself (kappa/4 is 0 at 5e-324)
+    # finite inputs whose exponents overflow: b at kappa 1e300 and 1.5e308,
+    # the proposed pair's 8/kappa^2 at kappa 1e-300, the discriminant at h
+    # 1e308, and the (1,3) weight itself, -inf wherever cft raises on Q^2 or
+    # c (kappa/4 is 0 at 5e-324 and subnormal at 1e-310; 6 Q^2 overflows at
+    # 1e-307 and 1.5e308)
     "exponents-kappa-1e300": (["exponents", "--kappa", "1e300"], 1, EXPONENTS_LINE),
+    "exponents-kappa-1.5e308": (["exponents", "--kappa", "1.5e308"], 1, EXPONENTS_LINE),
     "exponents-kappa-1e-300": (["exponents", "--kappa", "1e-300"], 1, EXPONENTS_LINE),
+    "exponents-kappa-1e-307": (["exponents", "--kappa", "1e-307"], 1, EXPONENTS_LINE),
     "exponents-kappa-1e-310": (["exponents", "--kappa", "1e-310"], 1, EXPONENTS_LINE),
     "exponents-kappa-5e-324": (["exponents", "--kappa", "5e-324"], 1, EXPONENTS_LINE),
     "exponents-h-1e308": (["exponents", "--kappa", "4", "--h", "1e308"], 1, EXPONENTS_LINE),

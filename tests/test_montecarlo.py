@@ -456,6 +456,53 @@ def test_composed_counts_nan_image_as_violation(nan_in_sample_1):
     assert rep.containment_violations == 1
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("shared", [False, True])
+def test_composed_skips_swallowed_points(shared, workers, monkeypatch, written_out_root):
+    """Samples 0-2 have zero driving, and the grid gains the slit point of
+    test_flow_bits_equal_the_listed_loop, which their 11th forward step
+    swallows.  The report equals one reduced from a listed loop that freezes
+    each swallowed point from that step on, so none of the values a
+    swallowed point takes after it reach the report."""
+    kappa, horizon, n_steps, n_samples, seed = 4.0, 0.25, 50, 300, 3
+    dt = horizon / n_steps
+    original = revsle.montecarlo._xi_block
+
+    def zero_driving_0_to_2(master_seed, lo, hi, kappa, dt, n_steps, leg=0):
+        xi = original(master_seed, lo, hi, kappa, dt, n_steps, leg)
+        xi[:, :max(0, 3 - lo)] = 0.0
+        return xi
+
+    grid = (*revsle.montecarlo._DEFAULT_Z_GRID, math.sqrt(4.0 * dt * 10.5) * 1j)
+    monkeypatch.setattr(revsle.montecarlo, "_xi_block", zero_driving_0_to_2)
+    monkeypatch.setattr(revsle.montecarlo, "_DEFAULT_Z_GRID", grid)
+    rep = run_composed_stats(kappa, horizon, n_steps, n_samples, shared_driving=shared,
+                             master_seed=seed, workers=workers)
+
+    xi_f = zero_driving_0_to_2(seed, 0, n_samples, kappa, dt, n_steps)
+    xi_b = xi_f if shared else zero_driving_0_to_2(seed, 0, n_samples, kappa, dt, n_steps, 1)
+    w = np.tile(np.array(grid), (n_samples, 1))
+    alive = np.ones(w.shape, bool)
+    for rows, c in ((xi_f[:n_steps], 4.0 * dt), (xi_b[:n_steps], -4.0 * dt)):
+        for x in rows:
+            x = x[:, None]
+            v = w - x
+            if c > 0.0:
+                alive &= ~swallowed(v, c)
+            w = np.where(alive, x + written_out_root(v * v + c, v.real), w)
+    image = w[alive]
+    n = image.size
+    mean_im = math.fsum(image.imag) / n
+    spread = math.sqrt(max(math.fsum(image.imag * image.imag) / n - mean_im * mean_im, 0.0))
+    want = revsle.montecarlo.ComposedReport(
+        kappa, horizon, n_steps, n_samples, seed, shared, len(grid), n / w.size,
+        int(np.count_nonzero(~np.isfinite(image) | (image.imag < -1e-12))),
+        complex(math.fsum(image.real) / n, mean_im), spread)
+    assert not alive[:3, -1].any() and rep.survival_fraction < 1.0
+    assert rep.containment_violations == 0
+    assert repr(rep) == repr(want)
+
+
 # --- the slit-step loop ------------------------------------------------------------
 
 def listed_flow(w, rows, c, root, alive=None):
@@ -463,14 +510,14 @@ def listed_flow(w, rows, c, root, alive=None):
     slit root ``root`` written out as well (the ``written_out_root``
     fixture): the half-angle formula off the real axis, and on it numpy's
     principal root negated where Im < 0, or where Im = +-0 and
-    Re(w - x) < 0."""
+    Re(w - x) < 0.  A mask is cleared where a step swallows a point, and
+    every point steps on."""
     for x in rows:
         x = x[:, None]
         v = w - x
-        if alive is not None and c > 0.0:
+        if alive is not None:
             alive &= ~swallowed(v, c)
-        step = x + root(v * v + c, v.real)
-        w = step if alive is None else np.where(alive, step, w)
+        w = x + root(v * v + c, v.real)
     return w
 
 
@@ -507,3 +554,5 @@ def test_flow_bits_equal_the_listed_loop(leg, written_out_root):
     if leg == "masked forward":
         assert np.array_equal(alive, listed_alive)
         assert not alive[0, 0] and 0 < np.count_nonzero(~alive) < alive.size
+        # the mask only records: the points are those of the unmasked leg
+        assert same_bits(got, revsle.montecarlo._flow(w, rows, c))
